@@ -55,6 +55,17 @@ def workload_skew(
     return worst
 
 
+def split_sizes(total: int, partitions: int) -> List[int]:
+    """Sizes of an even split of ``total`` objects (within one object).
+
+    The first ``total mod partitions`` partitions take the extra object.
+    """
+    if partitions <= 0:
+        raise ValueError("need at least one partition")
+    base, remainder = divmod(total, partitions)
+    return [base + (1 if i < remainder else 0) for i in range(partitions)]
+
+
 def split_evenly(objects: Sequence[RObject], partitions: int) -> List[List[RObject]]:
     """Divide R into equal-sized partitions (within one object).
 
@@ -62,13 +73,9 @@ def split_evenly(objects: Sequence[RObject], partitions: int) -> List[List[RObje
     split is by position, which for a randomly-generated R is equivalent to
     a random assignment.
     """
-    if partitions <= 0:
-        raise ValueError("need at least one partition")
-    base, remainder = divmod(len(objects), partitions)
     out: List[List[RObject]] = []
     cursor = 0
-    for i in range(partitions):
-        size = base + (1 if i < remainder else 0)
+    for size in split_sizes(len(objects), partitions):
         out.append(list(objects[cursor : cursor + size]))
         cursor += size
     return out

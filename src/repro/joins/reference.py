@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List
 
-from repro.core.records import JoinedPair, join_pair
+from repro.core.records import JoinedPair
 from repro.workload.generator import Workload
 
 
@@ -22,13 +22,17 @@ class JoinVerificationError(AssertionError):
 
 
 def reference_join(workload: Workload) -> List[JoinedPair]:
-    """The correct join output, computed directly (no simulation)."""
-    s_objects = workload.s_objects
-    return [
-        join_pair(r, s_objects[r.sptr])
-        for partition in workload.r_partitions
-        for r in partition
-    ]
+    """The correct join output, computed directly (no simulation).
+
+    Built from the workload's columns: each R-object's pointer indexes
+    S's value column.
+    """
+    return list(map(JoinedPair._make, zip(
+        workload.r_rid.tolist(),
+        workload.r_sptr.tolist(),
+        workload.r_payload.tolist(),
+        workload.s_value[workload.r_sptr].tolist(),
+    )))
 
 
 def verify_pairs(workload: Workload, pairs: Iterable[JoinedPair]) -> int:
@@ -56,10 +60,13 @@ def verify_pairs(workload: Workload, pairs: Iterable[JoinedPair]) -> int:
 
 
 def expected_checksum(workload: Workload) -> int:
-    """The PairCollector checksum the correct output must produce."""
-    checksum = 0
-    for pair in reference_join(workload):
-        checksum = (
-            checksum + (pair.rid * 1_000_003 + pair.sid * 7919 + pair.s_value)
-        ) % (1 << 61)
-    return checksum
+    """The PairCollector checksum the correct output must produce.
+
+    The checksum is a sum of per-pair terms ``rid * 1_000_003 + sid *
+    7919 + s_value`` modulo ``2**61``, so it is taken per column, in
+    Python ints (no u64 wrap-around).
+    """
+    rid = sum(workload.r_rid.tolist())
+    sid = sum(workload.r_sptr.tolist())
+    value = sum(workload.s_value[workload.r_sptr].tolist())
+    return (rid * 1_000_003 + sid * 7919 + value) % (1 << 61)

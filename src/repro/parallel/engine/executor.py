@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.records import JoinedPair
 from repro.governor.budget import install_budgets, store_usage_bytes
 from repro.governor.errors import ResourceExhausted
 from repro.governor.predict import JoinPlan
@@ -90,7 +89,7 @@ from repro.parallel.faults import (
     sweep_fault_state,
 )
 from repro.governor.budget import sweep_budgets
-from repro.storage.relation import iter_pairs_file
+from repro.storage.relation import PairBlocks, iter_pairs_file
 from repro.storage.store import Store
 from repro.workload.generator import Workload
 
@@ -109,7 +108,7 @@ class ExecutionOutcome:
     plan: JoinPlan
     pair_count: int = 0
     checksum: int = 0
-    pairs: Optional[List[JoinedPair]] = None
+    pairs: Optional[PairBlocks] = None
     pass_wall_ms: Dict[str, float] = field(default_factory=dict)
     pass_counts: Dict[str, int] = field(default_factory=dict)
     pass_checksums: Dict[str, int] = field(default_factory=dict)
@@ -584,13 +583,15 @@ def execute_plan(
         discard_manifest(store_root)
 
         if collect_pairs:
-            pairs: List[JoinedPair] = []
-            for result in pair_results:
-                # Streamed a batch at a time: only the final list (which
-                # the caller asked for) is whole-output, never a second
-                # per-file materialization on top of it.
-                pairs.extend(iter_pairs_file(result.path, current.batch_records))
-            outcome.pairs = pairs
+            # One block per PAIRS segment, copied out of the mapping
+            # before the store can be destroyed below.
+            outcome.pairs = PairBlocks([
+                block
+                for result in pair_results
+                for block in iter_pairs_file(
+                    result.path, max(1, result.count), blocks=True
+                )
+            ])
     finally:
         if driver_registry is not None:
             deactivate()

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import config
-from repro.core.records import JoinedPair
 from repro.governor.errors import DiskExhausted, MemoryExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.governor.predict import JoinPlan, fit_plan, predict_footprint
@@ -43,6 +42,7 @@ from repro.parallel.engine.stages import PARTITIONER_NAMES
 from repro.parallel.engine.stages import algorithms as registered_algorithms
 from repro.parallel.engine.stages import plan_for
 from repro.parallel.faults import FaultPlan, RetryPolicy
+from repro.storage.relation import PairBlocks
 from repro.workload.generator import Workload
 
 #: Derived from the engine's plan registry: registering a PassPlan is the
@@ -60,7 +60,10 @@ class RealJoinResult:
     pair_count: int
     checksum: int
     wall_ms: float
-    pairs: Optional[List[JoinedPair]] = None
+    #: The collected pairs (``collect_pairs=True``): a
+    #: ``Sequence[JoinedPair]`` over ``(n, 4)`` u64 blocks, one per
+    #: PAIRS segment (:class:`~repro.storage.relation.PairBlocks`).
+    pairs: Optional[PairBlocks] = None
     #: The published PAIRS segments as (count, checksum, path) tuples.
     #: Paths outlive the run only under ``keep_store=True``; the join
     #: service streams client deliveries straight from these mapped

@@ -56,7 +56,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
+
+import numpy as np
 
 from repro.governor.budget import GOVERNOR_FILE
 from repro.governor.errors import ResourceExhausted
@@ -288,21 +290,13 @@ class JoinService:
         receives its terminal frame before the daemon exits.
         """
         self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
 
     def close(self) -> None:
         """Stop accepting, drain request threads, retire the pool."""
         self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
+        self._close_listener()
+        self._listener = None
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
@@ -315,6 +309,23 @@ class JoinService:
                 self._pool.join()
                 self._pool = None
         Path(self.config.socket_path).unlink(missing_ok=True)
+
+    def _close_listener(self) -> None:
+        """Close the listening socket and wake a thread blocked in accept().
+
+        Closing alone leaves ``accept()`` blocked; ``shutdown`` makes it
+        return at once with an error, which ends the accept loop.
+        """
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down or closed
+        try:
+            self._listener.close()
+        except OSError:
+            pass
 
     @property
     def uptime_s(self) -> float:
@@ -732,21 +743,22 @@ class JoinService:
         stream = bool(request.get("stream_pairs"))
         streamed = 0
         if stream:
-            batch_size = self.config.stream_batch
-            batch: List[list] = []
+            blocks = (
+                block
+                for pair_file in result.pair_files
+                for block in iter_pairs_file(
+                    pair_file.path, self.config.stream_batch, blocks=True
+                )
+            )
             try:
-                for pair_file in result.pair_files:
-                    for pair in iter_pairs_file(pair_file.path, batch_size):
-                        batch.append(list(pair))
-                        if len(batch) >= batch_size:
-                            send_frame(conn, {
-                                "kind": "pairs",
-                                "request_id": request_id,
-                                "count": len(batch),
-                                "pairs": batch,
-                            })
-                            streamed += len(batch)
-                            batch = []
+                for frame in _frames(blocks, self.config.stream_batch):
+                    send_frame(conn, {
+                        "kind": "pairs",
+                        "request_id": request_id,
+                        "count": len(frame),
+                        "pairs": frame.tolist(),
+                    })
+                    streamed += len(frame)
             except StorageError as error:
                 # A published PAIRS segment failed its payload checksum
                 # between the barrier and the read — the client gets a
@@ -756,14 +768,6 @@ class JoinService:
                 return _error(
                     "corrupt-data", str(error), request_id=request_id
                 )
-            if batch:
-                send_frame(conn, {
-                    "kind": "pairs",
-                    "request_id": request_id,
-                    "count": len(batch),
-                    "pairs": batch,
-                })
-                streamed += len(batch)
         # The streamed segments are spent; drop every temp so the warm
         # store holds only R/S for the next lease.
         self._sweep_temps(entry, result)
@@ -855,6 +859,24 @@ class JoinService:
                 "strict_tenants": self.tenants.strict,
             },
         )
+
+
+def _frames(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Re-cut ``(n, 4)`` pair blocks into frames of ``size`` rows.
+
+    Every frame but the last holds exactly ``size`` pairs, wherever the
+    PAIRS segments' boundaries fall.
+    """
+    carry = np.empty((0, 4), dtype=np.uint64)
+    for block in blocks:
+        if len(carry):
+            block = np.concatenate([carry, block])
+        whole = len(block) - len(block) % size
+        for lo in range(0, whole, size):
+            yield block[lo : lo + size]
+        carry = block[whole:]
+    if len(carry):
+        yield carry
 
 
 def _error(code: str, message: str, **extra) -> dict:

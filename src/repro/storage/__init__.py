@@ -4,11 +4,13 @@ from repro.storage.btree import MAX_KEYS, BTreeError, PersistentBTree
 from repro.storage.layout import LayoutError, RecordLayout
 from repro.storage.relation import (
     PAIR_RECORD_BYTES,
+    PairBlocks,
     PairsFile,
     RRelationFile,
     SRelationFile,
     iter_pairs_file,
     read_pairs,
+    write_columns,
     write_r_partition,
     write_s_partition,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "MAX_KEYS",
     "MappedSegment",
     "PAIR_RECORD_BYTES",
+    "PairBlocks",
     "PairsFile",
     "PersistentBTree",
     "RRelationFile",
@@ -39,6 +42,7 @@ __all__ = [
     "timed_delete_map",
     "timed_new_map",
     "timed_open_map",
+    "write_columns",
     "write_r_partition",
     "write_s_partition",
 ]

@@ -13,10 +13,7 @@ import os
 import struct
 from typing import Iterator, List, Sequence, Tuple
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.records import JoinedPair, RObject, SObject
 from repro.obs.registry import active as _metrics
@@ -36,6 +33,12 @@ class _RelationFile:
 
     def close(self) -> None:
         self.segment.close()
+
+    def append_columns(self, a, b, c) -> int:
+        """Append records given as three u64 column arrays (one write)."""
+        return self.segment.append_batch(
+            self.segment.layout.pack_columns(a, b, c)
+        )
 
     def abort(self) -> None:
         """Release the relation without publishing it (idempotent).
@@ -133,12 +136,6 @@ class RRelationFile(_RelationFile):
                 yield decode(view)
             finally:
                 view.release()
-
-    def append_columns(self, rid, sptr, payload) -> int:
-        """Append records given as three u64 column arrays."""
-        return self.segment.append_batch(
-            self.segment.layout.pack_columns(rid, sptr, payload)
-        )
 
     def read_columns(self, start: int, count: int) -> Tuple:
         """Decode ``count`` records at ``start`` into u64 column copies."""
@@ -510,23 +507,43 @@ class PairsFile(_RelationFile):
             finally:
                 view.release()
 
+    def iter_blocks(
+        self, batch_records: int = DEFAULT_BATCH_RECORDS
+    ) -> Iterator[_np.ndarray]:
+        """Pairs as ``(n, 4)`` u64 blocks of up to ``batch_records`` rows.
+
+        Each block is a copy made with one ``np.frombuffer`` over the
+        mapped batch, so it outlives the mapping (and the store).
+        """
+        for view in self.segment.iter_batches(batch_records):
+            try:
+                yield _np.frombuffer(view, dtype="<u8").reshape(-1, 4).copy()
+            finally:
+                view.release()
+
     def __iter__(self) -> Iterator[JoinedPair]:
         return self.iter_pairs()
 
 
 def iter_pairs_file(
-    path: str | os.PathLike, batch_records: int = DEFAULT_BATCH_RECORDS
-) -> Iterator[JoinedPair]:
+    path: str | os.PathLike,
+    batch_records: int = DEFAULT_BATCH_RECORDS,
+    blocks: bool = False,
+) -> Iterator:
     """Stream one worker's pairs file a batch at a time (bounded memory).
 
     The generator owns the mapping for its lifetime and decodes
     ``batch_records`` pairs per step, so a driver collecting a huge join
-    result holds one batch of ``JoinedPair`` objects per file, not the
-    whole output — the difference between respecting a memory budget and
-    blowing it at the finish line.
+    result holds one batch per file, not the whole output — the
+    difference between respecting a memory budget and blowing it at the
+    finish line.  It yields ``JoinedPair``s, or with ``blocks=True``
+    ``(n, 4)`` u64 arrays (:meth:`PairsFile.iter_blocks`).
     """
     with PairsFile.open(path) as relation:
-        yield from relation.iter_pairs(batch_records)
+        if blocks:
+            yield from relation.iter_blocks(batch_records)
+        else:
+            yield from relation.iter_pairs(batch_records)
 
 
 def read_pairs(
@@ -541,38 +558,84 @@ def read_pairs(
     return list(iter_pairs_file(path, batch_records))
 
 
+class PairBlocks(Sequence[JoinedPair]):
+    """A join result held as ``(n, 4)`` u64 blocks, read as ``JoinedPair``s.
+
+    The executor reads each PAIRS segment once into a block; this adapter
+    gives the ``Sequence[JoinedPair]`` view callers index, iterate and
+    compare (with ``==``, against any sequence of pairs).  Fields come
+    out as Python ints (via ``tolist``), so checksum arithmetic over
+    them never wraps.
+    """
+
+    def __init__(self, blocks: Sequence[_np.ndarray]) -> None:
+        self.blocks = [block for block in blocks if len(block)]
+        self._ends = _np.cumsum([len(block) for block in self.blocks])
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("pair index out of range")
+        k = int(_np.searchsorted(self._ends, index, side="right"))
+        start = int(self._ends[k - 1]) if k else 0
+        return JoinedPair._make(self.blocks[k][index - start].tolist())
+
+    def __iter__(self) -> Iterator[JoinedPair]:
+        make = JoinedPair._make
+        for block in self.blocks:
+            yield from map(make, block.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PairBlocks({len(self)} pairs in {len(self.blocks)} blocks)"
+
+
 # ---------------------------------------------------------- partition files
 
-def _append_partition(relation: _RelationFile, objects: List) -> None:
-    """Append a whole partition, vectorized when numpy is available.
+def _publish(relation: _RelationFile, fill) -> None:
+    """Fill a freshly created relation and publish it (or discard it)."""
+    try:
+        fill(relation)
+    except BaseException:
+        relation.abort()
+        raise
+    relation.close()
 
-    Materialization is driver-side setup shared by both kernel modes
-    (never part of a measured kernel), so the fast path is uncondition-
-    al: ``np.asarray`` of the tuple list and one structured-array pack —
-    byte-identical to ``pack_batch`` of the same tuples.
+
+def write_columns(
+    relation_type, path: str | os.PathLike, columns: Sequence,
+    record_bytes: int = 128,
+) -> None:
+    """Materialize a partition file from three u64 columns.
+
+    The store's materialization path: one ``pack_columns`` into the
+    record layout and one slice write per partition.
     """
-    if _np is None or not objects:
-        relation.append_many(objects)
-        return
-    matrix = _np.asarray(objects, dtype=_np.uint64)
-    relation.segment.append_batch(
-        relation.segment.layout.pack_columns(
-            matrix[:, 0], matrix[:, 1], matrix[:, 2]
-        )
-    )
+    relation = relation_type.create(path, max(1, len(columns[0])), record_bytes)
+    _publish(relation, lambda rel: rel.append_columns(*columns))
 
 
 def write_r_partition(
     path: str | os.PathLike, objects: List[RObject], record_bytes: int = 128
 ) -> None:
-    """Materialize an R partition file."""
+    """Materialize an R partition file from ``RObject``s."""
     relation = RRelationFile.create(path, max(1, len(objects)), record_bytes)
-    try:
-        _append_partition(relation, objects)
-    except BaseException:
-        relation.abort()
-        raise
-    relation.close()
+    _publish(relation, lambda rel: rel.append_many(objects))
 
 
 def write_s_partition(
@@ -580,9 +643,4 @@ def write_s_partition(
 ) -> None:
     """Materialize an S partition file (objects at their offsets)."""
     relation = SRelationFile.create(path, max(1, len(objects)), record_bytes)
-    try:
-        _append_partition(relation, objects)
-    except BaseException:
-        relation.abort()
-        raise
-    relation.close()
+    _publish(relation, lambda rel: rel.append_many(objects))

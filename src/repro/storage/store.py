@@ -18,12 +18,7 @@ except ImportError:  # pragma: no cover
     _fcntl = None
 
 from repro.governor.budget import store_usage_bytes
-from repro.storage.relation import (
-    RRelationFile,
-    SRelationFile,
-    write_r_partition,
-    write_s_partition,
-)
+from repro.storage.relation import RRelationFile, SRelationFile, write_columns
 from repro.storage.segment import MappedSegment, StorageError, scrub_segment
 from repro.workload.generator import Workload
 
@@ -61,18 +56,24 @@ class Store:
     # ------------------------------------------------------------ workload
 
     def materialize(self, workload: Workload) -> None:
-        """Write a workload's R and S partitions into the store."""
+        """Write a workload's R and S partitions into the store.
+
+        Each partition is packed straight from the workload's columns and
+        written in one batch.
+        """
         if workload.disks != self.disks:
             raise StorageError(
                 f"workload has {workload.disks} partitions, store has "
                 f"{self.disks} disks"
             )
         for i in range(self.disks):
-            write_r_partition(
-                self.path(i, "R"), workload.r_partitions[i], workload.spec.r_bytes
+            write_columns(
+                RRelationFile, self.path(i, "R"), workload.r_columns(i),
+                workload.spec.r_bytes,
             )
-            write_s_partition(
-                self.path(i, "S"), workload.s_partition(i), workload.spec.s_bytes
+            write_columns(
+                SRelationFile, self.path(i, "S"), workload.s_columns(i),
+                workload.spec.s_bytes,
             )
 
     def open_r(self, disk: int) -> RRelationFile:

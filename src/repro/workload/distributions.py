@@ -12,32 +12,47 @@ import inspect
 import math
 import random
 from functools import lru_cache
-from typing import Callable, List, Mapping
+from typing import Callable, List, Mapping, Sequence
 
-Sampler = Callable[[random.Random, int, int], List[int]]
+import numpy as np
+
+from repro.workload.stream import WordStream, randbelow, shuffled_order
+
+#: ``(rng, count, |S|, **args) -> pointers``: a list of ints or, for the
+#: samplers replayed in bulk, a u64 array holding the same values.
+Sampler = Callable[[random.Random, int, int], Sequence[int]]
 
 
 class DistributionError(ValueError):
     """Raised for unknown or ill-parameterized distributions."""
 
 
-def uniform_pointers(rng: random.Random, count: int, s_objects: int) -> List[int]:
-    """Independent uniform pointers — the paper's validation workload."""
-    return [rng.randrange(s_objects) for _ in range(count)]
+def uniform_pointers(
+    rng: random.Random, count: int, s_objects: int
+) -> np.ndarray:
+    """Independent uniform pointers — the paper's validation workload.
+
+    ``[rng.randrange(s_objects) for _ in range(count)]``, drawn in bulk.
+    """
+    with WordStream(rng) as stream:
+        return randbelow(stream, s_objects, count)
 
 
-def permutation_pointers(rng: random.Random, count: int, s_objects: int) -> List[int]:
+def permutation_pointers(
+    rng: random.Random, count: int, s_objects: int
+) -> np.ndarray:
     """Each S-object referenced at most once (a key/foreign-key join).
 
     When ``count > s_objects`` the permutation repeats, keeping reference
-    counts within one of each other.
+    counts within one of each other.  Each block is ``rng.shuffle`` of
+    ``range(s_objects)``.
     """
-    pointers: List[int] = []
-    while len(pointers) < count:
-        block = list(range(s_objects))
-        rng.shuffle(block)
-        pointers.extend(block[: count - len(pointers)])
-    return pointers
+    blocks = []
+    remaining = count
+    while remaining > 0:
+        blocks.append(shuffled_order(rng, s_objects)[:remaining])
+        remaining -= s_objects
+    return np.concatenate(blocks).astype(np.uint64)
 
 
 @lru_cache(maxsize=16)

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.pointer import PointerMap
-from repro.core.records import RObject, SObject
 from repro.workload.generator import Workload, WorkloadSpec
 
 FORMAT_VERSION = 1
+
+_COLUMNS = ("r_rid", "r_sptr", "r_payload", "s_value", "s_payload")
 
 
 class WorkloadIOError(RuntimeError):
@@ -28,10 +28,6 @@ class WorkloadIOError(RuntimeError):
 
 def save_workload(workload: Workload, path: str | os.PathLike) -> None:
     """Write a workload to an ``.npz`` archive."""
-    r_objects = [obj for partition in workload.r_partitions for obj in partition]
-    partition_sizes = np.array(
-        [len(p) for p in workload.r_partitions], dtype=np.int64
-    )
     header = {
         "format_version": FORMAT_VERSION,
         "disks": workload.disks,
@@ -49,15 +45,12 @@ def save_workload(workload: Workload, path: str | os.PathLike) -> None:
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        partition_sizes=partition_sizes,
-        r_rid=np.array([o.rid for o in r_objects], dtype=np.int64),
-        r_sptr=np.array([o.sptr for o in r_objects], dtype=np.int64),
-        r_payload=np.array([o.payload for o in r_objects], dtype=np.int64),
-        s_sid=np.array([o.sid for o in workload.s_objects], dtype=np.int64),
-        s_value=np.array([o.value for o in workload.s_objects], dtype=np.int64),
-        s_payload=np.array(
-            [o.payload for o in workload.s_objects], dtype=np.int64
-        ),
+        partition_sizes=np.array(workload.r_sizes, dtype=np.int64),
+        s_sid=np.arange(workload.s_objects_total, dtype=np.int64),
+        **{
+            name: getattr(workload, name).astype(np.int64)
+            for name in _COLUMNS
+        },
     )
 
 
@@ -82,53 +75,35 @@ def load_workload(path: str | os.PathLike) -> Workload:
 
     spec = WorkloadSpec(**header["spec"])
     disks = int(header["disks"])
-
-    s_objects = [
-        SObject(sid=int(sid), value=int(value), payload=int(payload))
-        for sid, value, payload in zip(
-            archive["s_sid"], archive["s_value"], archive["s_payload"]
-        )
-    ]
-    r_flat = [
-        RObject(rid=int(rid), sptr=int(sptr), payload=int(payload))
-        for rid, sptr, payload in zip(
-            archive["r_rid"], archive["r_sptr"], archive["r_payload"]
-        )
-    ]
-
+    columns = {name: archive[name] for name in _COLUMNS}
     partition_sizes = [int(n) for n in archive["partition_sizes"]]
+    _validate(path, disks, partition_sizes, archive["s_sid"], **columns)
+    return Workload(
+        spec=spec,
+        disks=disks,
+        r_sizes=tuple(partition_sizes),
+        **columns,
+    )
+
+
+def _validate(path: Path, disks: int, partition_sizes, s_sid, **columns) -> None:
+    """Sanity-check the archive so corrupt files fail loudly."""
     if len(partition_sizes) != disks:
         raise WorkloadIOError(
             f"{path}: partition count {len(partition_sizes)} does not match "
             f"disks {disks}"
         )
-    if sum(partition_sizes) != len(r_flat):
+    if sum(partition_sizes) != len(columns["r_rid"]):
         raise WorkloadIOError(f"{path}: partition sizes do not cover R")
-
-    partitions = []
-    cursor = 0
-    for size in partition_sizes:
-        partitions.append(r_flat[cursor : cursor + size])
-        cursor += size
-
-    workload = Workload(
-        spec=spec,
-        disks=disks,
-        s_objects=s_objects,
-        r_partitions=partitions,
-        pointer_map=PointerMap(s_objects=len(s_objects), partitions=disks),
-    )
-    _validate(workload, path)
-    return workload
-
-
-def _validate(workload: Workload, path: Path) -> None:
-    """Sanity-check pointer ranges so corrupt files fail loudly."""
-    n_s = len(workload.s_objects)
-    for partition in workload.r_partitions:
-        for obj in partition:
-            if not 0 <= obj.sptr < n_s:
-                raise WorkloadIOError(
-                    f"{path}: R object {obj.rid} has out-of-range pointer "
-                    f"{obj.sptr} (|S| = {n_s})"
-                )
+    if any(len(column) and column.min() < 0 for column in columns.values()):
+        raise WorkloadIOError(f"{path}: negative field value")
+    n_s = len(columns["s_value"])
+    if not np.array_equal(s_sid, np.arange(n_s)):
+        raise WorkloadIOError(f"{path}: S-objects are not at their sid")
+    bad = np.flatnonzero(columns["r_sptr"] >= n_s)
+    if len(bad):
+        raise WorkloadIOError(
+            f"{path}: R object {int(columns['r_rid'][bad[0]])} has "
+            f"out-of-range pointer {int(columns['r_sptr'][bad[0]])} "
+            f"(|S| = {n_s})"
+        )

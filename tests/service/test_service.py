@@ -10,7 +10,9 @@ workload — the service must be a transport, never a transformation.
 from __future__ import annotations
 
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.obs.export import validate_stats_document
@@ -23,7 +25,7 @@ from repro.service import (
     ServiceConfig,
     TenantConfig,
 )
-from repro.service.server import sweep_service_root
+from repro.service.server import _frames, sweep_service_root
 from repro.storage.segment import MappedSegment
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -97,6 +99,38 @@ def test_streamed_pairs_match_collected_pairs(make_service, tmp_path):
     assert reply.streamed_pairs == reply.pair_count
     direct = direct_result("grace", tmp_path, collect_pairs=True)
     assert sorted(reply.pairs) == sorted(tuple(p) for p in direct.pairs)
+
+
+def test_small_stream_frames_cross_segment_boundaries(make_service, tmp_path):
+    """Frames of 7 pairs cut across the per-worker PAIRS segments."""
+    service = make_service(stream_batch=7)
+    with JoinServiceClient(service.config.socket_path) as client:
+        reply = client.join("sort-merge", stream_pairs=True, **join_args())
+    assert reply.streamed_pairs == reply.pair_count
+    direct = direct_result("sort-merge", tmp_path, collect_pairs=True)
+    assert sorted(reply.pairs) == sorted(tuple(p) for p in direct.pairs)
+
+
+def test_frames_hold_exactly_the_batch_size_but_the_last():
+    blocks = [
+        np.arange(4 * n, dtype=np.uint64).reshape(n, 4) + 100 * k
+        for k, n in enumerate((3, 5, 0, 4, 1))
+    ]
+    frames = list(_frames(iter(blocks), 4))
+    assert [len(f) for f in frames] == [4, 4, 4, 1]
+    assert np.array_equal(np.concatenate(frames), np.concatenate(blocks))
+
+
+def test_close_returns_promptly(make_service):
+    """close() wakes the accept thread instead of waiting out its join."""
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        client.ping()
+    time.sleep(0.2)  # the accept loop is back in accept()
+    started = time.perf_counter()
+    service.close()
+    assert time.perf_counter() - started < 1.0
+    assert not service._accept_thread
 
 
 def test_second_request_reuses_the_warm_store(make_service):

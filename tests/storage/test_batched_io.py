@@ -1,11 +1,13 @@
 """Tests for the batched record I/O layer (zero-copy block access)."""
 
+import numpy as np
 import pytest
 
 from repro.core.records import JoinedPair, RObject, SObject
 from repro.storage.layout import RecordLayout
 from repro.storage.relation import (
     BucketedRFile,
+    PairBlocks,
     PairsFile,
     RRelationFile,
     SRelationFile,
@@ -224,6 +226,59 @@ class TestPairsFile:
         # Odd batch sizes must not drop the tail.
         assert list(iter_pairs_file(path, batch_records=33)) == pairs
         assert read_pairs(path, batch_records=7) == pairs
+
+
+    def test_iter_pairs_file_blocks_outlive_the_file(self, tmp_path):
+        from repro.storage import iter_pairs_file
+
+        pairs = [JoinedPair(i, i + 1, i + 2, (1 << 64) - 1 - i) for i in range(10)]
+        path = tmp_path / "p.seg"
+        with PairsFile.create(path, 10) as pf:
+            pf.append_many(pairs)
+        blocks = list(iter_pairs_file(path, batch_records=4, blocks=True))
+        path.unlink()
+        assert [len(b) for b in blocks] == [4, 4, 2]
+        assert all(b.dtype == np.uint64 and b.shape[1] == 4 for b in blocks)
+        assert [tuple(row) for b in blocks for row in b.tolist()] == pairs
+
+
+class TestPairBlocks:
+    """The collected join result: (n, 4) u64 blocks, read as JoinedPairs."""
+
+    PAIRS = [JoinedPair(i, 2 * i, 3 * i, (1 << 63) + i) for i in range(9)]
+
+    def blocks(self, *sizes):
+        rows = np.array(self.PAIRS, dtype=np.uint64)
+        cuts = np.cumsum(sizes)[:-1]
+        return PairBlocks(np.split(rows, cuts))
+
+    def test_sequence_protocol(self):
+        result = self.blocks(4, 0, 3, 2)
+        assert len(result) == 9
+        assert result[0] == self.PAIRS[0]
+        assert result[5] == self.PAIRS[5]
+        assert result[-1] == self.PAIRS[-1]
+        assert result[2:7] == self.PAIRS[2:7]
+        assert list(result) == self.PAIRS
+        assert self.PAIRS[4] in result
+        with pytest.raises(IndexError):
+            result[9]
+
+    def test_fields_are_python_ints(self):
+        result = self.blocks(9)
+        for pair in (result[3], next(iter(result))):
+            assert isinstance(pair, JoinedPair)
+            assert all(type(field) is int for field in pair)
+        # No uint64 wrap-around: sums grow past 2**64 as Python ints do.
+        assert sum(p.s_value for p in result) == sum(p.s_value for p in self.PAIRS)
+
+    def test_equality(self):
+        assert self.blocks(4, 5) == self.PAIRS
+        assert self.blocks(4, 5) == self.blocks(9)
+        assert self.blocks(9) != self.PAIRS[:-1]
+        assert self.blocks(9) != list(reversed(self.PAIRS))
+        assert PairBlocks([]) == []
+        assert len(PairBlocks([])) == 0
 
 
 class TestBucketedRFile:

@@ -58,6 +58,18 @@ class TestStore:
         with store.open_s(1) as s_rel:
             assert list(s_rel) == workload.s_partition(1)
 
+    def test_materialize_matches_the_object_writers(self, tmp_path, workload):
+        """Packing columns writes the same files as packing objects."""
+        store = Store(tmp_path / "db", disks=3)
+        store.materialize(workload)
+        for i in range(3):
+            write_r_partition(tmp_path / "r.seg", workload.r_partitions[i])
+            write_s_partition(tmp_path / "s.seg", workload.s_partition(i))
+            assert (tmp_path / "r.seg").read_bytes() == store.path(i, "R").read_bytes()
+            assert (tmp_path / "s.seg").read_bytes() == store.path(i, "S").read_bytes()
+            (tmp_path / "r.seg").unlink()
+            (tmp_path / "s.seg").unlink()
+
     def test_disk_count_mismatch_rejected(self, tmp_path, workload):
         store = Store(tmp_path / "db", disks=2)
         with pytest.raises(StorageError):

@@ -1,8 +1,12 @@
 """Tests for workload generation."""
 
+import numpy as np
 import pytest
 
-from repro.workload import WorkloadSpec, generate_workload
+from repro.core.partition import workload_skew
+from repro.core.records import RObject, SObject
+from repro.parallel import run_real_join
+from repro.workload import DISTRIBUTIONS, WorkloadSpec, generate_workload
 
 
 class TestWorkloadSpec:
@@ -107,3 +111,55 @@ class TestWorkloadDescription:
         pairs = wl.expected_pairs()
         assert len(pairs) == 300
         assert all(sid == wl.s_objects[sid].sid for _, sid in pairs)
+
+
+class TestColumns:
+    """The workload is its u64 columns; object views are derived on demand."""
+
+    @pytest.fixture
+    def wl(self):
+        return generate_workload(
+            WorkloadSpec(r_objects=1001, s_objects=777, seed=3), 3
+        )
+
+    def test_columns_are_read_only(self, wl):
+        for column in (wl.r_rid, wl.r_sptr, wl.r_payload, wl.s_value, wl.s_payload):
+            assert column.dtype == np.uint64
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_object_views_follow_the_columns(self, wl):
+        for i in range(wl.disks):
+            rid, sptr, payload = wl.r_columns(i)
+            assert wl.r_partitions[i] == [
+                RObject(*fields)
+                for fields in zip(rid.tolist(), sptr.tolist(), payload.tolist())
+            ]
+            sid, value, payload = wl.s_columns(i)
+            assert wl.s_partition(i) == [
+                SObject(*fields)
+                for fields in zip(sid.tolist(), value.tolist(), payload.tolist())
+            ]
+
+    @pytest.mark.parametrize("distribution", sorted(DISTRIBUTIONS))
+    def test_measured_skew_equals_the_object_level_statistic(self, distribution):
+        wl = generate_workload(
+            WorkloadSpec(
+                r_objects=3001, s_objects=2000, distribution=distribution, seed=9
+            ),
+            4,
+        )
+        assert wl.measured_skew() == workload_skew(wl.r_partitions, wl.pointer_map)
+
+    def test_measured_skew_is_cached(self, wl):
+        assert wl.measured_skew() is wl.measured_skew()
+
+    def test_a_real_join_never_builds_the_object_views(self, wl, tmp_path):
+        result = run_real_join(
+            "grace", wl, str(tmp_path / "store"), use_processes=False,
+            mem_budget=64 << 20,
+        )
+        result.stats_document(wl)
+        assert len(result.pairs) == wl.r_objects_total
+        assert "r_partitions" not in vars(wl)
+        assert "s_objects" not in vars(wl)

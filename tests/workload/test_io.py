@@ -82,3 +82,18 @@ class TestErrors:
         np.savez(path, **archive)
         with pytest.raises(WorkloadIOError, match="out-of-range"):
             load_workload(path)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [("r_payload", -1, "negative"), ("s_sid", 7, "not at their sid")],
+    )
+    def test_corrupt_column_detected(self, workload, tmp_path, column, value, message):
+        path = tmp_path / "wl.npz"
+        save_workload(workload, path)
+        archive = dict(np.load(path))
+        bad = archive[column].copy()
+        bad[0] = value
+        archive[column] = bad
+        np.savez(path, **archive)
+        with pytest.raises(WorkloadIOError, match=message):
+            load_workload(path)
