@@ -141,13 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of a throwaway temporary directory",
     )
     join.add_argument(
-        "--kernels", choices=("scalar", "vector"), default=None,
-        help="stage-kernel implementation: numpy-vectorized inner loops "
-             "(vector, the default when numpy is importable) or the "
-             "per-record scalar path (debugging/equivalence baselines); "
-             "also settable via REPRO_KERNELS",
-    )
-    join.add_argument(
         "--partitioner", choices=PARTITIONER_NAMES, default=None,
         help="real-backend partitioning strategy for the bucketed plans: "
              "the paper's order-preserving hash, the cache-budgeted "
@@ -301,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--seed", type=int, default=None)
     client.add_argument("--disks", type=int, default=None)
     client.add_argument("--priority", type=int, default=None)
-    client.add_argument(
-        "--kernels", choices=("scalar", "vector"), default=None
-    )
     client.add_argument(
         "--stream-pairs", action="store_true",
         help="stream the joined pairs back (counted, not printed)",
@@ -500,7 +490,6 @@ def _cmd_join(args) -> int:
                     disk_budget=disk_budget,
                     on_pressure=args.on_pressure,
                     governor=governor,
-                    kernels=args.kernels,
                     rebalance=args.rebalance,
                     partitioner=args.partitioner,
                 )
@@ -511,8 +500,7 @@ def _cmd_join(args) -> int:
                 return 3
         pairs = verify_pairs(workload, result.pairs)
         print(f"{args.algorithm}: {pairs:,} pairs verified, "
-              f"{result.wall_ms:,.0f} ms wall clock (real mmap backend, "
-              f"{result.kernel_mode} kernels)")
+              f"{result.wall_ms:,.0f} ms wall clock (real mmap backend)")
         if result.retries_total or result.timeouts_total or result.inline_fallbacks:
             print(
                 f"recovery: {result.retries_total} retries, "
@@ -916,7 +904,6 @@ def _cmd_client(args) -> int:
                 seed=args.seed,
                 disks=args.disks,
                 priority=args.priority,
-                kernels=args.kernels,
                 stream_pairs=args.stream_pairs,
                 with_stats=bool(args.stats_out),
                 # Count the streamed pairs without holding them all.
@@ -928,14 +915,13 @@ def _cmd_client(args) -> int:
     line = (
         f"{reply.algorithm} for tenant {reply.tenant}: "
         f"{reply.pair_count:,} pairs, checksum {reply.checksum}, "
-        f"{reply.wall_ms:,.0f} ms join / {reply.request_ms:,.0f} ms "
-        f"request ({reply.kernel_mode} kernels"
+        f"{reply.wall_ms:,.0f} ms join / {reply.request_ms:,.0f} ms request"
     )
-    if reply.reused_store:
-        line += ", warm store"
+    notes = ["warm store"] if reply.reused_store else []
     if reply.admission:
-        line += f", admission {reply.admission}"
-    line += ")"
+        notes.append(f"admission {reply.admission}")
+    if notes:
+        line += f" ({', '.join(notes)})"
     print(line)
     if args.stream_pairs:
         print(f"streamed {reply.streamed_pairs:,} pairs")

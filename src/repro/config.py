@@ -7,18 +7,18 @@ and a validated value set exactly once — instead of one ad-hoc
 layer* of a fixed precedence order that every knob follows:
 
 1. **CLI flag / explicit argument** — a caller passing a value wins
-   outright (``repro join --kernels scalar``, ``run_real_join(
+   outright (``repro join --partitioner radix``, ``run_real_join(
    partitioner="radix")``);
 2. **marker file** — run-scoped state installed into the store root by
-   the driver (``kernels.mode``, ``partitioner.json``), which reaches
-   pool workers that forked before the run began and can change between
-   degradation rounds — an env var can do neither;
+   the driver (``partitioner.json``), which reaches pool workers that
+   forked before the run began and can change between degradation
+   rounds — an env var can do neither;
 3. **environment** — the ``REPRO_*`` variable, read through this module;
 4. **default** — the knob's declared default.
 
 Modules therefore call this layer only *after* their flag and marker
-checks fail (see :func:`repro.parallel.engine.task.resolve_kernel_mode`
-for the canonical chain).
+checks fail (see the ``partitioner`` handling in
+:func:`repro.parallel.runner.run_real_join` for the canonical chain).
 
 This module is import-light on purpose — stdlib only — so the storage
 layer, the engine, and the benches can all depend on it without cycles.
@@ -47,17 +47,6 @@ class Knob:
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            name="kernels",
-            env="REPRO_KERNELS",
-            choices=("scalar", "vector"),
-            default=None,
-            description=(
-                "stage-kernel implementation fallback for direct kernel "
-                "calls and un-marked stores; the run-scoped kernels.mode "
-                "marker and the --kernels flag take precedence"
-            ),
-        ),
         Knob(
             name="partitioner",
             env="REPRO_PARTITIONER",

@@ -104,11 +104,6 @@ class JoinPlan:
     #: scan instead of spilled.  Clamped to ``buckets - 1`` so at least
     #: one bucket always flows through the probe pass.
     resident_buckets: int = 4
-    #: Which stage-kernel implementation the run executes: ``"vector"``
-    #: (numpy columnar) or ``"scalar"`` (per-record structs).  Output is
-    #: bit-identical either way; the vector multi-run merge holds one
-    #: chunk per run, so dropping to scalar is the ladder's last rung.
-    kernel_mode: str = "vector"
     #: Per-partition size rebalancing in the executor: ``"off"`` (never
     #: shard), ``"auto"`` (shard when the partition-size ratio crosses
     #: the executor's threshold), ``"on"`` (force-shard every non-empty
@@ -140,7 +135,6 @@ class JoinPlan:
             "tsize": self.tsize,
             "spill_threshold": self.spill_threshold,
             "resident_buckets": self.resident_buckets,
-            "kernel_mode": self.kernel_mode,
             "rebalance": self.rebalance,
             "partitioner": self.partitioner,
         }
@@ -212,11 +206,6 @@ class JoinPlan:
             )
         if pass_plan.has_kind("probe") and self.buckets < MAX_BUCKETS:
             return replace(self, buckets=min(MAX_BUCKETS, self.buckets * 2))
-        if self.kernel_mode == "vector":
-            # Last resort: give up the columnar kernels' per-run merge
-            # chunks and column staging.  Output is unchanged, so this
-            # rung trades only speed for the final slice of memory.
-            return replace(self, kernel_mode="scalar")
         return self
 
     def _with_batch(self, batch_records: int) -> "JoinPlan":
@@ -403,23 +392,15 @@ def predict_footprint(
             )
             details["merge_runs"] = float(n_runs)
         elif stage.kind == "merge":
-            # Merging streams run batches lazily and retains only the
-            # re-batched output plus its dereferenced S objects.  The
-            # merged stream re-batches against *inbound* (which skew can
-            # push past r_i), so its batch clamp must use inbound.
+            # The k-way merge divides one batch among its runs (each run
+            # cursor holds a batch/k share), so whatever the run count it
+            # retains one batch of R plus its dereferenced S objects.  The
+            # merged output batches against *inbound* (which skew can
+            # push past r_i), so the batch clamp must use inbound.
             merge_batch = max(
                 1, min(plan.batch_records, math.ceil(inbound_balanced))
             )
             per_pass[stage.label] = merge_batch * (r + s)
-            n_runs = details.get("merge_runs", 1.0)
-            if plan.kernel_mode == "vector" and n_runs > 1:
-                # The vector k-way merge buffers one chunk per run
-                # (chunks never exceed the run length, so clamp by the
-                # effective run size too).
-                irun_eff = max(1, min(plan.irun, math.ceil(inbound)))
-                per_pass[stage.label] += (
-                    n_runs * min(merge_batch, irun_eff) * r
-                )
         elif stage.kind == "probe":
             # Range bucketing splits near-evenly; allow 3 sigma of
             # multinomial wobble over the mean bucket population.  The

@@ -35,12 +35,10 @@ from repro.parallel.engine.task import (
     bucket_spill_paths,
     metrics_sidecar,
     pairs_name,
-    rebatch,
     register_kernel,
     resolve_kernel,
     run_name,
     run_paths,
-    run_stream,
     run_task,
 )
 
@@ -67,12 +65,10 @@ __all__ = [
     "metrics_sidecar",
     "pairs_name",
     "plan_for",
-    "rebatch",
     "register_kernel",
     "register_plan",
     "resolve_kernel",
     "run_name",
     "run_paths",
-    "run_stream",
     "run_task",
 ]

@@ -252,6 +252,14 @@ def validate_manifest(
     plan = manifest.get("plan")
     if not isinstance(plan, dict):
         return None, "manifest carries no plan", 0
+    # Lazy: the governor imports the engine's plan registry.
+    from repro.governor.predict import JoinPlan
+
+    unknown = sorted(set(plan) - {f.name for f in dataclasses.fields(JoinPlan)})
+    if unknown:
+        # A manifest from a build with other plan knobs cannot say
+        # what plan its stages ran under.
+        return None, f"manifest plan has unknown knobs {unknown}", 0
     # The base relations first: a warm store whose R/S rotted must be
     # re-materialized, not trusted.
     for disk in range(store.disks):

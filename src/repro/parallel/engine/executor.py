@@ -75,11 +75,9 @@ from repro.parallel.engine.task import (
     OBS_MARKER,
     PairResult,
     StageOutput,
-    install_kernel_mode,
     metrics_sidecar,
     run_paths,
     run_task,
-    sweep_kernel_mode,
     task_slot,
 )
 from repro.parallel.faults import (
@@ -152,7 +150,6 @@ def sweep_run_artifacts(store_root: str, store: Store) -> None:
         sidecar.unlink(missing_ok=True)
     sweep_fault_state(root)
     sweep_budgets(root)
-    sweep_kernel_mode(root)
     sweep_partitioner_state(root)
     store.cleanup_orphans()
 
@@ -306,9 +303,6 @@ def execute_plan(
 
     if worker_mem_budget is not None or disk_budget is not None:
         install_budgets(store_root, worker_mem_budget, disk_budget)
-    # The marker, not an env var, carries the mode: pool workers fork
-    # with a stale environment, and a degradation round may switch it.
-    install_kernel_mode(store_root, plan.kernel_mode)
     recovery: Dict[str, object] = {
         "retries": 0, "timeouts": 0, "inline_fallbacks": 0,
         "pool_dirty": False,
@@ -458,7 +452,7 @@ def execute_plan(
         The learned strategy's CDF model is fit driver-side from the
         warm store (deterministic stride sampling, so a resumed or
         retried run refits the identical model) and installed as a
-        marker file — like the kernel mode, an env var could neither
+        marker file — like the budgets, an env var could neither
         reach forked pool workers nor change between degradation
         rounds.  Stateless strategies sweep any stale model instead.
         """
@@ -575,7 +569,6 @@ def execute_plan(
                     "runner.degradations_total", 1, algo=algorithm
                 )
                 reset_round()
-                install_kernel_mode(store_root, current.kernel_mode)
                 install_partitioners(current)
         outcome.plan = current
         # A completed run needs no resume; a surviving manifest on a

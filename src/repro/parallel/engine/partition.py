@@ -2,29 +2,27 @@
 
 Grace and hybrid hash stand or fall on how R records are scattered to
 their pointer-target partitions, yet that decision used to be smeared
-across four layers — the scalar ``order_preserving_bucket`` in
-:mod:`repro.joins.grace`, the scatter loops in
-:mod:`repro.parallel.workers`, the argsort twins in
-:mod:`repro.parallel.vectorized`, and a second equal-depth CDF in
-:mod:`repro.parallel.engine.rebalance`.  This module is the single
-abstraction they all call through: a :class:`Partitioner` maps a located
-reference ``(target, offset)`` to a bucket, both one record at a time
-(``bucket_of``) and over whole column batches (``bucket_array``), and
-supplies the bucket-contiguous permutation (``order``) the vectorized
-flush path groups with.
+across three layers — ``order_preserving_bucket`` in
+:mod:`repro.joins.grace`, the scatter in :mod:`repro.parallel.workers`,
+and a second equal-depth CDF in :mod:`repro.parallel.engine.rebalance`.
+This module is the single abstraction they all call through: a
+:class:`Partitioner` maps a located reference ``(target, offset)`` to a
+bucket over whole column batches (``bucket_array``, what the kernels
+run) and one record at a time (``bucket_of``, the element-wise
+reference the tests hold it to), and supplies the bucket-contiguous
+permutation (``order``) the kernels' spill flush groups with.
 
 Three strategies are registered:
 
 ``hash``
     The paper's order-preserving range hash — a thin wrapper around
-    ``order_preserving_bucket``, byte-identical to the pre-refactor
-    output (same integer math scalar-side, same u64 expression and
-    stable argsort vector-side).
+    ``order_preserving_bucket`` (the same integer math as one u64
+    expression, grouped by a stable argsort).
 
 ``radix``
     A DPG-style cache-efficient scatter: buckets are the top bits of the
     local offset (still monotone in the offset, so the probe's
-    sequential-S property holds), and the vectorized grouping runs as
+    sequential-S property holds), and the grouping runs as
     multiple stable passes over :data:`RADIX_BITS`-bit digits — each
     pass touches at most :data:`RADIX_FANOUT` output streams, a
     software-managed stand-in for keeping the scatter's working set
@@ -38,18 +36,18 @@ Three strategies are registered:
     partition_hot skew at partition time instead of post-hoc via
     rebalance shards.  A hot key owns a wide rank span; its records are
     spread uniformly across that span by ``mix(rid) % span`` — record
-    ids are stable across retries and kernel modes, and pair correctness
+    ids are stable across retries, and pair correctness
     never depends on bucket assignment (every bucket's records are
     probed against the same S partition).
 
 The learned model is *state*: the driver fits it once per run
 (:func:`fit_learned_state`) and installs it into the store root as
 ``partitioner.json`` (:func:`install_partitioner_state`) — the same
-files-only protocol as ``kernels.mode`` — so pool workers that forked
+files-only protocol as the metrics marker — so pool workers that forked
 before the run began, and retried tasks after a fault, all see the
 identical model.
 
-Module-level imports stay light (stdlib + guarded numpy + stages), so
+Module-level imports stay light (stdlib + numpy + stages), so
 the governor can price partitioner scratch without dragging in storage.
 """
 
@@ -60,14 +58,11 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Type
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.parallel.engine.stages import PARTITIONER_NAMES
 
-#: Digit width of one vectorized radix pass; 2**RADIX_BITS output
+#: Digit width of one radix grouping pass; 2**RADIX_BITS output
 #: streams per pass is the software-managed cache/TLB budget (64
 #: streams ≈ one page-table walk set per pass, per the DPG framing).
 RADIX_BITS = 6
@@ -78,7 +73,7 @@ RADIX_FANOUT = 1 << RADIX_BITS
 LEARNED_SAMPLES_PER_PARTITION = 2048
 
 #: Store-root marker file carrying the fitted partitioner state across
-#: process boundaries (same files-only protocol as ``kernels.mode``).
+#: process boundaries (same files-only protocol as the metrics marker).
 PARTITIONER_STATE = "partitioner.json"
 
 
@@ -186,9 +181,9 @@ class Partitioner:
     """Maps located references ``(target, offset)`` to bucket ids.
 
     ``part_sizes[target]`` is the S-partition size the offsets index
-    into; ``buckets`` the fan-out.  Implementations must keep the scalar
-    and vectorized paths element-wise identical — a property test pins
-    this for every registered strategy.
+    into; ``buckets`` the fan-out.  Implementations must keep
+    ``bucket_of`` and ``bucket_array`` element-wise identical — a
+    property test pins this for every registered strategy.
     """
 
     name: ClassVar[str] = ""
@@ -289,8 +284,8 @@ class LearnedPartitioner(Partitioner):
     to ``rank · buckets // total`` — so every bucket covers an
     equal-depth rank range, including through the middle of a heavy
     hitter.  Rank is monotone in the offset and the within-key spread is
-    a function of the stable record id, so retries and both kernel modes
-    agree record-by-record.
+    a function of the stable record id, so retries and ``bucket_of``
+    agree with ``bucket_array`` record-by-record.
     """
 
     name: ClassVar[str] = "learned"
@@ -321,13 +316,12 @@ class LearnedPartitioner(Partitioner):
         for values, cdf in zip(self._values, self._cdf):
             if len(cdf) != len(values) + 1:
                 raise PartitionerError("learned: malformed CDF model")
-        if _np is not None:
-            self._values_np = [
-                _np.asarray(v, dtype=_np.uint64) for v in self._values
-            ]
-            self._cdf_np = [
-                _np.asarray(c, dtype=_np.uint64) for c in self._cdf
-            ]
+        self._values_np = [
+            _np.asarray(v, dtype=_np.uint64) for v in self._values
+        ]
+        self._cdf_np = [
+            _np.asarray(c, dtype=_np.uint64) for c in self._cdf
+        ]
 
     def _rank_to_bucket(self, rank: int, total: int) -> int:
         if not total:
@@ -463,8 +457,8 @@ def resolve_partitioner(
 
     Kernels call this once per task; a fitted strategy whose installed
     state is missing or was fit for a different geometry fails loudly —
-    silently falling back to another strategy would break the
-    scalar-vs-vector bit-identity contract mid-run.
+    silently falling back to another strategy would change a retried
+    task's spill bytes mid-run.
     """
     cls = partitioner_class(name)
     if not cls.requires_fit:

@@ -12,8 +12,7 @@ lives here exactly once:
   pickles intact through the pool);
 * :class:`PairSink` / :class:`PairResult` — streaming pair output into a
   mapped segment, returning only ``(count, checksum, path)``;
-* batch utilities (:func:`rebatch`, :func:`run_stream`) and the
-  stage-owned artifact naming scheme (:func:`pairs_name`,
+* the stage-owned artifact naming scheme (:func:`pairs_name`,
   :func:`run_name` / :func:`run_paths`, :func:`bucket_spill_name` /
   :func:`bucket_spill_paths`) — so producers and consumers of spill files
   agree on names through one module instead of duplicated string logic.
@@ -31,14 +30,10 @@ import importlib
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
-from repro import config
 from repro.core.records import RObject
 from repro.governor.budget import load_budgets
 from repro.governor.errors import ResourceExhausted, classify_os_error
@@ -59,19 +54,6 @@ CHECKSUM_MOD = 1 << 61
 
 #: Presence of this file in the store root switches worker metrics on.
 OBS_MARKER = "metrics.on"
-
-#: The store-root marker carrying the run's kernel mode to the workers.
-#: Pool workers inherit their environment at fork time, so an env var
-#: cannot switch modes mid-run (a degradation round may flip vector →
-#: scalar); a file in the store root follows the same files-only
-#: cross-process protocol as the metrics marker and the budget file.
-KERNEL_MODE_MARKER = "kernels.mode"
-
-KERNEL_MODES = ("scalar", "vector")
-
-#: Environment fallback for direct kernel calls and un-marked stores
-#: (registered, with the rest of the REPRO_* knobs, in repro.config).
-KERNELS_ENV = config.knob("kernels").env
 
 
 def metrics_sidecar(root: str | Path, task: str, slot: int | str) -> Path:
@@ -120,59 +102,6 @@ def shard_of(args) -> Shard | None:
 def task_slot(partition: int, shard: Shard | None) -> int | str:
     """The sidecar/label slot for a task: partition, or partition+shard."""
     return partition if shard is None else f"{partition}s{shard.index}"
-
-
-# ------------------------------------------------------------- kernel mode
-
-def vector_kernels_available() -> bool:
-    """Whether the numpy-backed kernel implementations can run here."""
-    try:
-        from repro.parallel import vectorized
-    except Exception:  # pragma: no cover - import damage counts as absent
-        return False
-    return vectorized.HAVE_NUMPY
-
-
-def default_kernel_mode() -> str:
-    """Mode when nothing chose one: env override, else vector if possible."""
-    env = config.env_choice("kernels")
-    if env is not None:
-        return env
-    return "vector" if vector_kernels_available() else "scalar"
-
-
-def resolve_kernel_mode(root: str | Path) -> str:
-    """The mode a kernel should run in for the store at ``root``.
-
-    Marker file first (the executor installs one per round, so a degraded
-    re-plan switches every worker), then the environment, then the
-    default.  A vector request degrades to scalar when numpy is missing —
-    the knob selects an implementation, never breaks a join.
-    """
-    try:
-        text = (
-            Path(root, KERNEL_MODE_MARKER).read_text().strip().lower()
-        )
-    except OSError:
-        text = ""
-    mode = text if text in KERNEL_MODES else default_kernel_mode()
-    if mode == "vector" and not vector_kernels_available():
-        mode = "scalar"
-    return mode
-
-
-def install_kernel_mode(root: str | Path, mode: str) -> None:
-    """Publish the run's kernel mode for the workers (driver-side)."""
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; choices: {KERNEL_MODES}"
-        )
-    Path(root, KERNEL_MODE_MARKER).write_text(mode + "\n")
-
-
-def sweep_kernel_mode(root: str | Path) -> None:
-    """Remove the kernel-mode marker (run teardown)."""
-    Path(root, KERNEL_MODE_MARKER).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------- kernel registry
@@ -337,8 +266,8 @@ class PairSink:
     def emit_arrays(self, rid, sid, r_payload, s_value) -> None:
         """Join matched column arrays positionally and stream the pairs.
 
-        The vector-kernel counterpart of :meth:`emit_joined`: one
-        ``(n, 4)`` u64 block is written into the mapped segment in a
+        The kernels' emission path (:meth:`emit_joined` is its per-record
+        reference): one ``(n, 4)`` u64 block is written into the mapped segment in a
         single append, and the checksum mix runs as wrapping u64
         arithmetic — exact, because ``CHECKSUM_MOD`` divides ``2**64``.
         """
@@ -447,28 +376,7 @@ def bucket_spill_paths(
     return paths
 
 
-# ----------------------------------------------------------- batch utilities
-
-def rebatch(iterable: Iterable, size: int) -> Iterator[List]:
-    """Chunk any iterable into lists of at most ``size`` items."""
-    batch: List = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def run_stream(path: Path) -> Iterator[RObject]:
-    """Lazily stream one run file's objects (closable generator)."""
-    rel = RRelationFile.open(path)
-    try:
-        yield from rel.iter_objects(BATCH_RECORDS)
-    finally:
-        rel.close()
-
+# ------------------------------------------------------------ sorted runs
 
 def run_lower_bound(rel: RRelationFile, key: int) -> int:
     """Index of the first record in a sorted run with ``sptr >= key``.

@@ -88,10 +88,6 @@ class RealJoinResult:
     # governor's full decision record (None on ungoverned runs).
     degradations_total: int = 0
     governor: Optional[dict] = None
-    #: Which stage-kernel implementation produced the result ("vector"
-    #: numpy kernels or "scalar" per-record structs) — the mode of the
-    #: plan that actually ran, after any admission/runtime degradation.
-    kernel_mode: str = "vector"
     #: The partitioning strategy the run's partition stage actually used
     #: (after any ladder fallback); None for plans without one.
     partitioner: Optional[str] = None
@@ -138,7 +134,6 @@ def run_real_join(
     max_degradations: int = 8,
     batch_records: Optional[int] = None,
     resident_buckets: int = 4,
-    kernels: Optional[str] = None,
     reuse_store: bool = False,
     tenant: Optional[str] = None,
     priority: int = 0,
@@ -178,12 +173,6 @@ def run_real_join(
     home — joined during the partition scan instead of spilled; the
     governor's final memory rung shrinks it to zero, at which point
     hybrid degenerates to grace.
-
-    ``kernels`` selects the stage-kernel implementation: ``"vector"``
-    (numpy columnar — the default when numpy is importable) or
-    ``"scalar"`` (the per-record reference path).  Output is
-    bit-identical either way; a vector request silently degrades to
-    scalar on a numpy-less host.
 
     ``rebalance`` selects per-partition size rebalancing in the executor:
     ``"auto"`` (the default) shards a stage's oversized partitions into
@@ -233,17 +222,6 @@ def run_real_join(
             f"resident_buckets must satisfy 0 <= resident < buckets: "
             f"{resident_buckets} vs {buckets} buckets"
         )
-    if kernels is None:
-        kernel_mode = engine_task.default_kernel_mode()
-    elif kernels in engine_task.KERNEL_MODES:
-        kernel_mode = kernels
-    else:
-        raise RealJoinError(
-            f"unknown kernel mode {kernels!r}; "
-            f"choices: {engine_task.KERNEL_MODES}"
-        )
-    if kernel_mode == "vector" and not engine_task.vector_kernels_available():
-        kernel_mode = "scalar"
     validate_rebalance_mode(rebalance)
     if partitioner is None:
         partitioner = config.env_choice("partitioner")
@@ -270,7 +248,6 @@ def run_real_join(
         buckets=buckets,
         tsize=tsize,
         resident_buckets=resident_buckets,
-        kernel_mode=kernel_mode,
         rebalance=rebalance,
         partitioner=partitioner,
     )
@@ -406,7 +383,6 @@ def run_real_join(
             admission_degradations + outcome.runtime_degradations
         ),
         governor=governor_doc,
-        kernel_mode=outcome.plan.kernel_mode,
         partitioner=outcome.plan.effective_partitioner(algorithm),
         rebalance=dict(outcome.rebalance),
         resume=dict(outcome.resume),

@@ -12,11 +12,17 @@ executor can dispatch it by name through a :mod:`multiprocessing` pool
 the paper's Rproc/Sproc design — parallelism is process-level, one worker
 per partition).
 
-All record movement is block-at-a-time: kernels consume decoded batches
-(`iter_object_batches`), resolve pointers with the batched
-:meth:`PointerMap.locate_many` / :meth:`offset_many`, dereference S through
-:meth:`SRelationFile.dereference_many`, and append spills/runs/buckets via
-``append_many`` — no per-record ``bytes()`` copies or struct calls.
+All record movement is columnar and block-at-a-time: mapped batches
+decode to three compact u64 column copies
+(:meth:`RecordLayout.decode_columns`), pointers resolve via
+:meth:`PointerMap.locate_array`, S dereferences are one fancy-indexed
+gather over a single dtype view (:meth:`SRelationFile.dereference_columns`),
+and pair emission writes one ``(n, 4)`` u64 block per batch
+(:meth:`PairSink.emit_arrays`).  Record order is kept wherever it is
+observable — boolean-mask selection keeps encounter order and
+``np.argsort(kind="stable")`` breaks key ties by arrival — so segment
+bytes are a pure function of the workload and the plan; the committed
+golden segment hashes and the workload oracle pin them.
 
 Join output never crosses a process boundary.  Every pair-producing
 kernel streams its pairs into its own mapped ``PAIRS`` segment (one
@@ -35,14 +41,13 @@ True`` on every create makes that legal).
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Tuple
 
-from repro.governor.watchdog import active_meter
+import numpy as np
 
 from repro.core.pointer import PointerMap
-from repro.core.records import RObject
-from repro.joins.grace import refining_chain
+from repro.governor.watchdog import active_meter
+from repro.obs.registry import active as _metrics
 from repro.parallel.engine.partition import resolve_partitioner
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
@@ -57,14 +62,11 @@ from repro.parallel.engine.task import (
     metrics_sidecar,
     nl_spill_name,
     pairs_name,
-    rebatch,
     register_kernel,
-    resolve_kernel_mode,
     rs_name,
     run_lower_bound,
     run_name,
     run_paths,
-    run_stream,
     shard_of,
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
@@ -90,22 +92,6 @@ __all__ = [
 ]
 
 
-def _vectorized(root: str):
-    """The numpy kernel module when this store runs in vector mode.
-
-    Each registered kernel dispatches through this first: the mode
-    resolves from the store root (marker file → env → default), so one
-    kernel name serves both implementations and the executor, tests, and
-    retried passes never need to know which one ran.  Returns ``None``
-    in scalar mode; the scalar body below is the fallback.
-    """
-    if resolve_kernel_mode(root) == "vector":
-        from repro.parallel import vectorized
-
-        return vectorized
-    return None
-
-
 def _store(root: str, disks: int) -> Store:
     return Store(root, disks)
 
@@ -118,20 +104,25 @@ def _phase_partner(i: int, t: int, disks: int) -> int:
     return (i + t) % disks
 
 
+def _targets_in_encounter_order(parts):
+    """Distinct partition ids of ``parts``, ordered by first appearance.
+
+    The order per-target work (spill appends, resident pair emission)
+    runs in, which is observable in the segment bytes.
+    """
+    uniq, first = np.unique(parts, return_index=True)
+    return [int(t) for t in uniq[np.argsort(first, kind="stable")]]
+
+
 # ------------------------------------------------------------ nested loops
 
 @register_kernel
-def nested_loops_pass0(
-    args: Tuple[str, int, int, int, int]
-) -> PairResult:
+def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
     """Scan R_i: join local references, spill the rest to the RP_i_j.
 
     The trailing optional arg throttles the batch size — the governor's
     nested-loops degradation knob.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.nested_loops_pass0(args)
     root, disks, i, s_objects, record_bytes = args[:5]
     batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
     store = _store(root, disks)
@@ -149,26 +140,24 @@ def nested_loops_pass0(
             if j != i
         }
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
-                charged = len(batch) * record_bytes
+            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+                charged = len(rid) * record_bytes
                 meter.charge(charged, "nested-loops R batch")
-                located = pmap.locate_many([obj[1] for obj in batch])
-                local_r: List[RObject] = []
-                local_offsets: List[int] = []
-                remote: Dict[int, List[RObject]] = {}
-                for obj, (target, offset) in zip(batch, located):
-                    if target == i:
-                        local_r.append(obj)
-                        local_offsets.append(offset)
-                    else:
-                        remote.setdefault(target, []).append(obj)
-                meter.charge(
-                    len(local_offsets) * s_bytes, "dereferenced S batch"
-                )
-                charged += len(local_offsets) * s_bytes
-                sink.emit_joined(local_r, s_rel.dereference_many(local_offsets))
-                for target, objects in remote.items():
-                    spill[target].append_many(objects)
+                parts, offs = pmap.locate_array(sptr)
+                local = parts == i
+                n_local = int(local.sum())
+                meter.charge(n_local * s_bytes, "dereferenced S batch")
+                charged += n_local * s_bytes
+                if n_local:
+                    sid, value = s_rel.dereference_columns(offs[local])
+                    sink.emit_arrays(rid[local], sid, payload[local], value)
+                if n_local < len(rid):
+                    remote = ~local
+                    for target in _targets_in_encounter_order(parts[remote]):
+                        mask = remote & (parts == target)
+                        spill[target].append_columns(
+                            rid[mask], sptr[mask], payload[mask]
+                        )
                 meter.release(charged)
             for rel in spill.values():
                 rel.close()
@@ -181,9 +170,7 @@ def nested_loops_pass0(
 
 
 @register_kernel
-def nested_loops_pass1(
-    args: Tuple[str, int, int, int]
-) -> PairResult:
+def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
     """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
 
     Rebalance axis ``records``: a trailing :class:`Shard` restricts the
@@ -192,9 +179,6 @@ def nested_loops_pass1(
     with the same global indexing, so the shard union is exactly the
     unsharded scan.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.nested_loops_pass1(args)
     shard = shard_of(args)
     core = args[:-1] if shard is not None else args
     root, disks, i, s_objects = core[:4]
@@ -219,13 +203,15 @@ def nested_loops_pass1(
             with RRelationFile.open(path) as spill, store.open_s(j) as s_rel:
                 r_bytes = spill.segment.layout.record_bytes
                 s_bytes = s_rel.segment.layout.record_bytes
-                for batch in spill.iter_object_batches(
+                for rid, sptr, payload in spill.iter_column_batches(
                     batch_records, start, stop
                 ):
-                    charged = len(batch) * (r_bytes + s_bytes)
+                    charged = len(rid) * (r_bytes + s_bytes)
                     meter.charge(charged, "nested-loops spill batch")
-                    offsets = pmap.offset_many([obj[1] for obj in batch])
-                    sink.emit_joined(batch, s_rel.dereference_many(offsets))
+                    sid, value = s_rel.dereference_columns(
+                        pmap.offset_array(sptr)
+                    )
+                    sink.emit_arrays(rid, sid, payload, value)
                     meter.release(charged)
         return sink.close()
     except BaseException:
@@ -236,13 +222,8 @@ def nested_loops_pass1(
 # --------------------------------------------------------------- sort-merge
 
 @register_kernel
-def sort_merge_partition(
-    args: Tuple[str, int, int, int, int]
-) -> int:
+def sort_merge_partition(args: Tuple[str, int, int, int, int]) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_partition(args)
     root, disks, i, s_objects, record_bytes = args[:5]
     batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
     store = _store(root, disks)
@@ -258,18 +239,18 @@ def sort_merge_partition(
         }
         moved = 0
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
+            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
                 meter.charge(
-                    len(batch) * record_bytes, "sort-merge partition batch"
+                    len(rid) * record_bytes, "sort-merge partition batch"
                 )
-                located = pmap.locate_many([obj[1] for obj in batch])
-                buckets: Dict[int, List[RObject]] = {}
-                for obj, (target, _offset) in zip(batch, located):
-                    buckets.setdefault(target, []).append(obj)
-                for target, objects in buckets.items():
-                    outputs[target].append_many(objects)
-                    moved += len(objects)
-                meter.release(len(batch) * record_bytes)
+                parts, _offs = pmap.locate_array(sptr)
+                for target in _targets_in_encounter_order(parts):
+                    mask = parts == target
+                    outputs[target].append_columns(
+                        rid[mask], sptr[mask], payload[mask]
+                    )
+                    moved += int(mask.sum())
+                meter.release(len(rid) * record_bytes)
             for rel in outputs.values():
                 rel.close()
         except BaseException:
@@ -279,20 +260,54 @@ def sort_merge_partition(
     return moved
 
 
+class _ColumnBuffer:
+    """FIFO of (rid, sptr, payload) column chunks with exact-size takes.
+
+    The sort-run stage's buffer: chunks queue up as they arrive and
+    :meth:`take` cuts exactly ``n`` records off the front (splitting a
+    chunk when the boundary lands inside one), so every run is a
+    contiguous ``irun``-record slice of the inbound stream.
+    """
+
+    def __init__(self) -> None:
+        self._chunks: List[tuple] = []
+        self.total = 0
+
+    def extend(self, rid, sptr, payload) -> None:
+        if len(rid):
+            self._chunks.append((rid, sptr, payload))
+            self.total += len(rid)
+
+    def take(self, n: int) -> tuple:
+        taken: List[tuple] = []
+        need = n
+        while need:
+            rid, sptr, payload = self._chunks[0]
+            if len(rid) <= need:
+                taken.append(self._chunks.pop(0))
+                need -= len(rid)
+            else:
+                taken.append((rid[:need], sptr[:need], payload[:need]))
+                self._chunks[0] = (rid[need:], sptr[need:], payload[need:])
+                need = 0
+        self.total -= n
+        return (
+            np.concatenate([c[0] for c in taken]),
+            np.concatenate([c[1] for c in taken]),
+            np.concatenate([c[2] for c in taken]),
+        )
+
+
 @register_kernel
-def sort_merge_runs(
-    args: Tuple[str, int, int, int, int]
-) -> int:
+def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
-    The meter's charge always equals len(buffer) * record_bytes: extends
-    charge, flushes release exactly what they wrote — so a shrunken
-    ``irun`` (the governor's sort-merge knob) directly lowers the
-    high-water mark at the cost of more runs for the merge stage.
+    The meter's charge always equals the buffered records' bytes: each
+    inbound batch charges, each flushed run releases exactly what it
+    wrote — so a shrunken ``irun`` (the governor's sort-merge knob)
+    directly lowers the high-water mark at the cost of more runs for the
+    merge stage.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_runs(args)
     shard = shard_of(args)
     core = args[:-1] if shard is not None else args
     root, disks, i, record_bytes, irun = core[:5]
@@ -313,28 +328,28 @@ def sort_merge_runs(
     # files; numeric sort over the combined ids reproduces shard order
     # then local order, i.e. the concatenated inbound order.
     run_base = 0 if shard is None else shard.index * RUN_SHARD_STRIDE
-    buffer: List[RObject] = []
+    buffer = _ColumnBuffer()
     run_id = 0
     inbound = 0
 
-    def flush_run() -> None:
+    def flush_run(count: int) -> None:
         nonlocal run_id
-        if not buffer:
+        if not count:
             return
-        buffer.sort(key=lambda obj: obj.sptr)
+        rid, sptr, payload = buffer.take(count)
+        order = np.argsort(sptr, kind="stable")
         rel = RRelationFile.create(
-            store.path(i, run_name(i, run_base + run_id)), len(buffer),
+            store.path(i, run_name(i, run_base + run_id)), count,
             record_bytes, overwrite=True,
         )
         try:
-            rel.append_many(buffer)
+            rel.append_columns(rid[order], sptr[order], payload[order])
         except BaseException:
             rel.abort()
             raise
         rel.close()
         run_id += 1
-        meter.release(len(buffer) * record_bytes)
-        buffer.clear()
+        meter.release(count * record_bytes)
 
     lo = 0 if shard is None else shard.lo
     hi = None if shard is None else shard.hi
@@ -348,57 +363,115 @@ def sort_merge_runs(
         if shard is not None and start >= stop:
             continue
         with RRelationFile.open(path) as rel:
-            for batch in rel.iter_object_batches(batch_records, start, stop):
-                inbound += len(batch)
-                meter.charge(len(batch) * record_bytes, "sort-run buffer")
-                buffer.extend(batch)
-                while len(buffer) >= irun:
-                    tail = buffer[irun:]
-                    del buffer[irun:]
-                    flush_run()
-                    buffer.extend(tail)
-    flush_run()
+            for rid, sptr, payload in rel.iter_column_batches(
+                batch_records, start, stop
+            ):
+                inbound += len(rid)
+                meter.charge(len(rid) * record_bytes, "sort-run buffer")
+                buffer.extend(rid, sptr, payload)
+                while buffer.total >= irun:
+                    flush_run(irun)
+    flush_run(buffer.total)
     return inbound
 
 
-def _clipped_run_stream(path, klo: int, khi: int, batch_records: int):
-    """Stream a sorted run's records with ``sptr`` in ``[klo, khi)``.
+class _RunCursor:
+    """One sorted run's read cursor for the bounded k-way merge.
 
-    Binary-seeks to the range start and stops at the first record past
-    it, so a key-range shard's cost is proportional to its own range —
-    never to the prefix owned by lower shards.
+    Buffers at most its share of the merge budget (more only while this
+    run ties on the merge bound); the file side is read with
+    :meth:`RRelationFile.read_columns` so memory stays bounded by the
+    share, not the run length.
+
+    With a key range ``[klo, khi)`` (the ``keys`` rebalance axis) each
+    loaded chunk is masked to the range; because runs are sptr-sorted,
+    once a chunk's tail reaches ``khi`` the rest of the file is out of
+    range and the cursor reports exhausted.
     """
-    rel = RRelationFile.open(path)
-    try:
-        start = run_lower_bound(rel, klo)
-        for batch in rel.iter_object_batches(batch_records, start):
-            for obj in batch:
-                if obj.sptr >= khi:
-                    return
-                yield obj
-    finally:
-        rel.close()
+
+    def __init__(
+        self,
+        rel: RRelationFile,
+        klo: int | None = None,
+        khi: int | None = None,
+    ) -> None:
+        self.rel = rel
+        self.length = len(rel)
+        self.pos = 0  # file records loaded so far
+        self.klo = klo
+        self.khi = khi
+        self.range_done = False  # key range exhausted before file end
+        self.rid = self.sptr = self.payload = None
+        if klo is not None:
+            # Seek past lower shards' records instead of reading and
+            # masking them away chunk by chunk.
+            self.pos = run_lower_bound(rel, klo)
+
+    @property
+    def buffered(self) -> int:
+        return 0 if self.sptr is None else len(self.sptr)
+
+    @property
+    def file_exhausted(self) -> bool:
+        return self.range_done or self.pos >= self.length
+
+    def load(self, chunk_records: int, meter, record_bytes: int) -> int:
+        """Read up to ``chunk_records`` more file records into the buffer
+        (key-range misses excluded, so keep reading until one lands)."""
+        delivered = 0
+        while not delivered and not self.file_exhausted:
+            n = min(chunk_records, self.length - self.pos)
+            rid, sptr, payload = self.rel.read_columns(self.pos, n)
+            self.pos += n
+            metrics = _metrics()
+            if metrics.enabled:
+                kind = self.rel.segment.kind
+                metrics.count("storage.read.batches", 1, kind=kind)
+                metrics.count("storage.read.records", n, kind=kind)
+                metrics.count("storage.read.bytes", n * record_bytes, kind=kind)
+            if self.klo is not None:
+                if int(sptr[-1]) >= self.khi:
+                    self.range_done = True
+                keep = (sptr >= np.uint64(self.klo)) & (
+                    sptr < np.uint64(self.khi)
+                )
+                if not keep.all():
+                    rid, sptr, payload = rid[keep], sptr[keep], payload[keep]
+                if not len(rid):
+                    continue
+            if self.buffered:
+                self.rid = np.concatenate([self.rid, rid])
+                self.sptr = np.concatenate([self.sptr, sptr])
+                self.payload = np.concatenate([self.payload, payload])
+            else:
+                self.rid, self.sptr, self.payload = rid, sptr, payload
+            meter.charge(len(rid) * record_bytes, "merge run chunk")
+            delivered = len(rid)
+        return delivered
+
+    def take(self, n: int) -> tuple:
+        out = (self.rid[:n], self.sptr[:n], self.payload[:n])
+        if n >= self.buffered:
+            self.rid = self.sptr = self.payload = None
+        else:
+            self.rid = self.rid[n:]
+            self.sptr = self.sptr[n:]
+            self.payload = self.payload[n:]
+        return out
 
 
 @register_kernel
-def sort_merge_merge_join(
-    args: Tuple[str, int, int, int, int]
-) -> PairResult:
+def sort_merge_merge_join(args: Tuple[str, int, int, int, int]) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
-    A single run needs no heap: its batches are already in sptr order, so
-    the per-record merge machinery (generator hops + key calls) is
-    skipped entirely — the common case whenever a partition's inbound fits
-    one initial run.
+    A single run needs no merge: its batches are already in sptr order.
+    Several runs merge k-way under one fixed budget (:func:`_merge_runs`).
 
     Rebalance axis ``keys``: a trailing :class:`Shard` carries an sptr
     key range ``[lo, hi)``.  Each shard merges *all* runs clipped to its
     range; the ranges tile the key space, so the shard union is the full
     merge (runs are sorted, so clipping preserves merge order).
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_merge_join(args)
     shard = shard_of(args)
     core = args[:-1] if shard is not None else args
     root, disks, i, s_objects, record_bytes = core[:5]
@@ -413,92 +486,160 @@ def sort_merge_merge_join(
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
             batch_cost = record_bytes + s_bytes
-            if shard is not None and paths:
-                streams = [
-                    _clipped_run_stream(
-                        path, shard.lo, shard.hi, batch_records
-                    )
+
+            def emit(rid, sptr, payload) -> None:
+                sid, value = s_rel.dereference_columns(
+                    pmap.offset_array(sptr)
+                )
+                sink.emit_arrays(rid, sid, payload, value)
+
+            if len(paths) == 1 and shard is None:
+                with RRelationFile.open(paths[0]) as rel:
+                    for rid, sptr, payload in rel.iter_column_batches(
+                        batch_records
+                    ):
+                        meter.charge(len(rid) * batch_cost, "merge batch")
+                        emit(rid, sptr, payload)
+                        meter.release(len(rid) * batch_cost)
+            elif paths:
+                klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
+                cursors = [
+                    _RunCursor(RRelationFile.open(path), klo, khi)
                     for path in paths
                 ]
                 try:
-                    merged = (
-                        streams[0]
-                        if len(streams) == 1
-                        else heapq.merge(*streams, key=lambda o: o.sptr)
+                    _merge_runs(
+                        cursors, batch_records, record_bytes, s_bytes,
+                        meter, emit,
                     )
-                    for batch in rebatch(merged, batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
                 finally:
-                    for stream in streams:
-                        stream.close()
-            elif len(paths) == 1:
-                with RRelationFile.open(paths[0]) as rel:
-                    for batch in rel.iter_object_batches(batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
-            elif paths:
-                streams = [run_stream(path) for path in paths]
-                try:
-                    merged = heapq.merge(*streams, key=lambda o: o.sptr)
-                    for batch in rebatch(merged, batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
-                finally:
-                    for stream in streams:
-                        stream.close()
+                    for cursor in cursors:
+                        cursor.rel.close()
         return sink.close()
     except BaseException:
         sink.abort()
         raise
 
 
+def _merge_runs(
+    cursors: List[_RunCursor],
+    batch_records: int,
+    record_bytes: int,
+    s_bytes: int,
+    meter,
+    emit,
+) -> None:
+    """Drain the run cursors in global key order, emitting block-at-a-time.
+
+    Like the paper's multi-way merge, the k runs divide one fixed budget
+    of ``batch_records`` records: each cursor holds at most a
+    ``batch_records // k`` share and is topped back up to it before every
+    round, so the merge's footprint is one batch whatever the run count.
+    Each round computes the *bound* — the smallest last-buffered key
+    among runs with unread file data — and everything strictly below it
+    is provably complete in the buffers, so one stable argsort of those
+    slices (concatenated in run order) is the global merge order, ties
+    broken by run then position, exactly as a heap merge breaks them.
+    """
+    share = max(1, batch_records // len(cursors))
+    while True:
+        for cursor in cursors:
+            if cursor.buffered < share and not cursor.file_exhausted:
+                cursor.load(share - cursor.buffered, meter, record_bytes)
+        if not any(cursor.buffered for cursor in cursors):
+            return
+        bounds = [
+            int(cursor.sptr[-1])
+            for cursor in cursors
+            if not cursor.file_exhausted
+        ]
+        bound = min(bounds) if bounds else None
+        taken: List[tuple] = []
+        for cursor in cursors:
+            if not cursor.buffered:
+                continue
+            if bound is None:
+                n = cursor.buffered
+            else:
+                n = int(np.searchsorted(cursor.sptr, bound, side="left"))
+            if n:
+                taken.append(cursor.take(n))
+        if not taken:
+            # Every buffered key ties the bound; deepen the tying runs so
+            # all equal keys are in memory before they are ordered.
+            for cursor in cursors:
+                if not cursor.file_exhausted and (
+                    not cursor.buffered or int(cursor.sptr[-1]) == bound
+                ):
+                    cursor.load(share, meter, record_bytes)
+            continue
+        rid = np.concatenate([t[0] for t in taken])
+        sptr = np.concatenate([t[1] for t in taken])
+        payload = np.concatenate([t[2] for t in taken])
+        order = np.argsort(sptr, kind="stable")
+        for lo in range(0, len(order), batch_records):
+            block = order[lo:lo + batch_records]
+            meter.charge(len(block) * s_bytes, "merge batch")
+            emit(rid[block], sptr[block], payload[block])
+            meter.release(len(block) * (record_bytes + s_bytes))
+
+
 # ------------------------------------------------------- grace / hybrid hash
 
-def _spill_bucket_groups(
+def _flush_bucket_chunks(
     store: Store,
-    grouped: Dict[int, Dict[int, List[RObject]]],
+    grouped: Dict[int, List[tuple]],
     buckets: int,
     record_bytes: int,
     contributor: int,
     chunk: int | None,
+    order_fn=None,
 ) -> int:
-    """Write accumulated bucket groups to one spill file per target.
+    """Write accumulated per-target column chunks as bucketed spill files.
 
     Shared by the grace and hybrid-hash partition kernels; the files are
     named by :func:`~repro.parallel.engine.task.bucket_spill_name`, which
     is also how the probe kernel finds them — producers and consumers
-    agree on artifact names through that one scheme.
+    agree on artifact names through that one scheme.  One stable
+    bucket-contiguous permutation (the partitioner's ``order`` — a stable
+    argsort for the hash strategy, bounded-fan-out radix passes for
+    radix/learned) groups each target's records bucket-contiguously
+    (encounter order within a bucket preserved), and the whole blob lands
+    in one :meth:`BucketedRFile.append_buckets_packed` slice write.
     """
     flushed = 0
-    for target, bucket_groups in grouped.items():
-        capacity = sum(len(objs) for objs in bucket_groups.values())
+    for target, chunks in grouped.items():
+        rid = np.concatenate([c[0] for c in chunks])
+        sptr = np.concatenate([c[1] for c in chunks])
+        payload = np.concatenate([c[2] for c in chunks])
+        bucket = np.concatenate([c[3] for c in chunks])
+        if order_fn is None:
+            order = np.argsort(bucket, kind="stable")
+        else:
+            order = order_fn(bucket)
+        counts = np.bincount(bucket.astype(np.int64), minlength=buckets)
         spill = BucketedRFile.create(
             store.path(target, bucket_spill_name(target, contributor, chunk)),
-            capacity, buckets, record_bytes, overwrite=True,
+            len(rid), buckets, record_bytes, overwrite=True,
         )
         try:
-            for bucket in sorted(bucket_groups):
-                spill.append_bucket(bucket, bucket_groups[bucket])
-                flushed += len(bucket_groups[bucket])
+            spill.append_buckets_packed(
+                spill.segment.layout.pack_columns(
+                    rid[order], sptr[order], payload[order]
+                ),
+                [int(c) for c in counts],
+            )
         except BaseException:
             spill.abort()
             raise
         spill.close()
+        flushed += len(rid)
     grouped.clear()
     return flushed
 
 
 @register_kernel
-def grace_partition(
-    args: Tuple[str, int, int, int, int, int]
-) -> int:
+def grace_partition(args: Tuple[str, int, int, int, int, int]) -> int:
     """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
 
     All of one contributor's spill for one target lands in a single
@@ -512,9 +653,6 @@ def grace_partition(
     bounding the partition pass at threshold + one batch.  The probe side
     reads base and chunk files alike, so the join output is identical.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.grace_partition(args)
     root, disks, i, s_objects, record_bytes, buckets = args[:6]
     spill_threshold = args[6] if len(args) > 6 else None
     batch_records = args[7] if len(args) > 7 else BATCH_RECORDS
@@ -524,28 +662,31 @@ def grace_partition(
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
     part = resolve_partitioner(root, partitioner, part_sizes, buckets)
-    grouped: Dict[int, Dict[int, List[RObject]]] = {}
+    grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
     chunk_id = 0
 
     def flush_groups(chunk: int | None) -> int:
         nonlocal retained
-        flushed = _spill_bucket_groups(
-            store, grouped, buckets, record_bytes, i, chunk
+        flushed = _flush_bucket_chunks(
+            store, grouped, buckets, record_bytes, i, chunk, part.order
         )
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
     with store.open_r(i) as r_rel:
-        for batch in r_rel.iter_object_batches(batch_records):
-            meter.charge(len(batch) * record_bytes, "grace bucket groups")
-            retained += len(batch)
-            located = pmap.locate_many([obj[1] for obj in batch])
-            for obj, (target, offset) in zip(batch, located):
-                bucket = part.bucket_of(target, offset, obj[0])
-                grouped.setdefault(target, {}).setdefault(bucket, []).append(obj)
+        for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+            meter.charge(len(rid) * record_bytes, "grace bucket groups")
+            retained += len(rid)
+            parts, offs = pmap.locate_array(sptr)
+            bucket = part.bucket_array(parts, offs, rid)
+            for target in _targets_in_encounter_order(parts):
+                mask = parts == target
+                grouped.setdefault(target, []).append(
+                    (rid[mask], sptr[mask], payload[mask], bucket[mask])
+                )
             if spill_threshold is not None and retained >= spill_threshold:
                 moved += flush_groups(chunk_id)
                 chunk_id += 1
@@ -572,9 +713,6 @@ def hybrid_hash_partition(
     == 0`` this degenerates to grace partitioning — the governor's final
     memory rung.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.hybrid_hash_partition(args)
     root, disks, i, s_objects, record_bytes, buckets, resident = args[:7]
     spill_threshold = args[7] if len(args) > 7 else None
     batch_records = args[8] if len(args) > 8 else BATCH_RECORDS
@@ -584,7 +722,7 @@ def hybrid_hash_partition(
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
     part = resolve_partitioner(root, partitioner, part_sizes, buckets)
-    grouped: Dict[int, Dict[int, List[RObject]]] = {}
+    grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
     chunk_id = 0
@@ -597,8 +735,8 @@ def hybrid_hash_partition(
 
     def flush_groups(chunk: int | None) -> int:
         nonlocal retained
-        flushed = _spill_bucket_groups(
-            store, grouped, buckets, record_bytes, i, chunk
+        flushed = _flush_bucket_chunks(
+            store, grouped, buckets, record_bytes, i, chunk, part.order
         )
         meter.release(retained * record_bytes)
         retained = 0
@@ -607,32 +745,30 @@ def hybrid_hash_partition(
     with store.open_r(i) as r_rel:
         sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
-                meter.charge(len(batch) * record_bytes, "hybrid bucket groups")
-                located = pmap.locate_many([obj[1] for obj in batch])
-                by_target: Dict[int, Tuple[List[RObject], List[int]]] = {}
-                resident_count = 0
-                for obj, (target, offset) in zip(batch, located):
-                    bucket = part.bucket_of(target, offset, obj[0])
-                    if bucket < resident:
-                        objs, offsets = by_target.setdefault(
-                            target, ([], [])
+            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+                meter.charge(len(rid) * record_bytes, "hybrid bucket groups")
+                parts, offs = pmap.locate_array(sptr)
+                bucket = part.bucket_array(parts, offs, rid)
+                home = bucket < resident
+                resident_count = int(home.sum())
+                if resident_count:
+                    for target in _targets_in_encounter_order(parts[home]):
+                        mask = home & (parts == target)
+                        s_rel = open_s(target)
+                        s_bytes = s_rel.segment.layout.record_bytes
+                        charged = int(mask.sum()) * s_bytes
+                        meter.charge(charged, "resident S batch")
+                        sid, value = s_rel.dereference_columns(offs[mask])
+                        sink.emit_arrays(rid[mask], sid, payload[mask], value)
+                        meter.release(charged)
+                if resident_count < len(rid):
+                    out = ~home
+                    for target in _targets_in_encounter_order(parts[out]):
+                        mask = out & (parts == target)
+                        grouped.setdefault(target, []).append(
+                            (rid[mask], sptr[mask], payload[mask], bucket[mask])
                         )
-                        objs.append(obj)
-                        offsets.append(offset)
-                        resident_count += 1
-                    else:
-                        grouped.setdefault(target, {}).setdefault(
-                            bucket, []
-                        ).append(obj)
-                        retained += 1
-                for target, (objs, offsets) in by_target.items():
-                    s_rel = open_s(target)
-                    s_bytes = s_rel.segment.layout.record_bytes
-                    charged = len(objs) * s_bytes
-                    meter.charge(charged, "resident S batch")
-                    sink.emit_joined(objs, s_rel.dereference_many(offsets))
-                    meter.release(charged)
+                    retained += len(rid) - resident_count
                 meter.release(resident_count * record_bytes)
                 if spill_threshold is not None and retained >= spill_threshold:
                     moved += flush_groups(chunk_id)
@@ -652,19 +788,19 @@ def hybrid_hash_partition(
 
 
 @register_kernel
-def grace_probe(
-    args: Tuple[str, int, int, int, int, int]
-) -> PairResult:
+def grace_probe(args: Tuple[str, int, int, int, int, int]) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
+
+    The paper's ``TSIZE`` chain table is one stable argsort by refining
+    chain (:func:`repro.joins.grace.refining_chain`): chains fill in
+    inbound order and flatten in chain order, which is exactly the
+    sorted-by-chain permutation.
 
     Rebalance axis ``buckets``: a trailing :class:`Shard` restricts the
     probe to the contiguous bucket range ``[lo, hi)``.  Buckets are
     independent units of work, so the shard union probes exactly the
     unsharded bucket sequence.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.grace_probe(args)
     shard = shard_of(args)
     core = args[:-1] if shard is not None else args
     root, disks, i, s_objects, buckets, tsize = core[:6]
@@ -686,34 +822,31 @@ def grace_probe(
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
             for bucket in range(bucket_lo, bucket_hi):
-                table: List[List[RObject]] = [[] for _ in range(tsize)]
+                chunks: List[tuple] = []
                 bucket_charged = 0
                 for rel in inbound:
                     r_bytes = rel.segment.layout.record_bytes
-                    for batch in rel.iter_bucket_batches(bucket, batch_records):
-                        meter.charge(
-                            len(batch) * r_bytes, "grace probe bucket"
-                        )
-                        bucket_charged += len(batch) * r_bytes
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        for obj, offset in zip(batch, offsets):
-                            chain = refining_chain(
-                                offset, part_size, buckets, tsize
-                            )
-                            table[chain].append(obj)
-                # Emit in chain order but batched across chains: per-chain
-                # emits average ~1 record, so chunking the whole bucket
-                # keeps the dereference/append calls block-sized.  The
-                # checksum and the multiset of pairs are order-independent,
-                # so this matches the per-chain path exactly.
-                ordered = [
-                    obj for chain_objects in table for obj in chain_objects
-                ]
-                for chunk in rebatch(ordered, batch_records):
-                    meter.charge(len(chunk) * s_bytes, "dereferenced S batch")
-                    offsets = pmap.offset_many([obj[1] for obj in chunk])
-                    sink.emit_joined(chunk, s_rel.dereference_many(offsets))
-                    meter.release(len(chunk) * s_bytes)
+                    rid, sptr, payload = rel.read_bucket_columns(bucket)
+                    if not len(rid):
+                        continue
+                    meter.charge(len(rid) * r_bytes, "grace probe bucket")
+                    bucket_charged += len(rid) * r_bytes
+                    chunks.append((rid, sptr, payload))
+                if chunks:
+                    rid = np.concatenate([c[0] for c in chunks])
+                    sptr = np.concatenate([c[1] for c in chunks])
+                    payload = np.concatenate([c[2] for c in chunks])
+                    offs = pmap.offset_array(sptr)
+                    chain = (
+                        offs * np.uint64(buckets * tsize) // part_size
+                    ) % np.uint64(tsize)
+                    order = np.argsort(chain, kind="stable")
+                    for lo in range(0, len(order), batch_records):
+                        block = order[lo:lo + batch_records]
+                        meter.charge(len(block) * s_bytes, "dereferenced S batch")
+                        sid, value = s_rel.dereference_columns(offs[block])
+                        sink.emit_arrays(rid[block], sid, payload[block], value)
+                        meter.release(len(block) * s_bytes)
                 meter.release(bucket_charged)
         return sink.close()
     except BaseException:

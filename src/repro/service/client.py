@@ -51,7 +51,6 @@ class JoinReply:
     checksum: int
     wall_ms: float
     request_ms: float
-    kernel_mode: str
     streamed_pairs: int = 0
     reused_store: bool = False
     admission: Optional[str] = None
@@ -132,7 +131,6 @@ class JoinServiceClient:
         seed: Optional[int] = None,
         disks: Optional[int] = None,
         distribution: Optional[str] = None,
-        kernels: Optional[str] = None,
         priority: Optional[int] = None,
         stream_pairs: bool = False,
         with_stats: bool = False,
@@ -179,8 +177,7 @@ class JoinServiceClient:
                 reply = self._attempt_join(
                     algorithm,
                     tenant=tenant, scale=scale, seed=seed, disks=disks,
-                    distribution=distribution, kernels=kernels,
-                    priority=priority, stream_pairs=stream_pairs,
+                    distribution=distribution, priority=priority, stream_pairs=stream_pairs,
                     with_stats=with_stats, on_pairs=on_pairs,
                     request_id=request_id, deadline_s=remaining,
                     started=started,
@@ -211,7 +208,7 @@ class JoinServiceClient:
         self,
         algorithm: str,
         *,
-        tenant, scale, seed, disks, distribution, kernels, priority,
+        tenant, scale, seed, disks, distribution, priority,
         stream_pairs: bool, with_stats: bool, on_pairs,
         request_id: str, deadline_s: Optional[float], started: float,
     ) -> JoinReply:
@@ -226,7 +223,6 @@ class JoinServiceClient:
             ("seed", seed),
             ("disks", disks),
             ("distribution", distribution),
-            ("kernels", kernels),
             ("priority", priority),
             ("deadline_s", deadline_s),
         ):
@@ -260,7 +256,6 @@ class JoinServiceClient:
                     checksum=frame["checksum"],
                     wall_ms=frame["wall_ms"],
                     request_ms=(time.perf_counter() - started) * 1000.0,
-                    kernel_mode=frame["kernel_mode"],
                     streamed_pairs=frame.get("streamed_pairs", 0),
                     reused_store=frame.get("reused_store", False),
                     admission=frame.get("admission"),

@@ -66,11 +66,7 @@ from repro.governor.governor import ResourceGovernor
 from repro.obs.export import build_service_stats_document
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.engine.task import (
-    KERNEL_MODE_MARKER,
-    KERNEL_MODES,
-    OBS_MARKER,
-)
+from repro.parallel.engine.task import OBS_MARKER
 from repro.parallel.faults import FAULTS_FILE
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.service.journal import RequestJournal, valid_request_id
@@ -87,7 +83,7 @@ class ServiceError(RuntimeError):
 
 
 #: Control files a dead run may leave in a store root; all run-scoped.
-_CONTROL_FILES = (OBS_MARKER, KERNEL_MODE_MARKER, FAULTS_FILE, GOVERNOR_FILE)
+_CONTROL_FILES = (OBS_MARKER, FAULTS_FILE, GOVERNOR_FILE)
 
 
 def sweep_service_root(root: str | Path) -> Dict[str, int]:
@@ -96,7 +92,7 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
     Returns what was removed or verified, by category: ``seg_tmp``
     (unpublished segments whose writer no longer holds its create-time
     flock), ``sidecars`` (worker metrics snapshots), ``control_files``
-    (metrics/kernel-mode markers, fault plans and attempt counters,
+    (metrics markers, fault plans and attempt counters,
     budget files), ``scrubbed`` (published segments whose payload
     checksum was fully verified), ``corrupt`` (segments that failed the
     scrub — deleted), and ``evicted`` (intact base segments dropped
@@ -580,11 +576,6 @@ class JoinService:
         disks = request.get("disks", self.config.disks)
         if not isinstance(disks, int) or isinstance(disks, bool) or disks < 1:
             raise ServiceError(f"disks must be a positive integer: {disks!r}")
-        kernels = request.get("kernels")
-        if kernels is not None and kernels not in KERNEL_MODES:
-            raise ServiceError(
-                f"unknown kernel mode {kernels!r}; choices: {KERNEL_MODES}"
-            )
         distribution = request.get("distribution", "uniform")
         if not isinstance(distribution, str):
             raise ServiceError("distribution must be a string")
@@ -692,7 +683,6 @@ class JoinService:
                 deadline_s=effective_deadline,
                 tenant=policy.name,
                 priority=priority,
-                kernels=request.get("kernels"),
             )
         entry.materialized = True
         if result.timeouts_total:
@@ -782,7 +772,6 @@ class JoinService:
             "pair_count": result.pair_count,
             "checksum": result.checksum,
             "wall_ms": result.wall_ms,
-            "kernel_mode": result.kernel_mode,
             "streamed_pairs": streamed,
             "reused_store": reused,
             "admission": governor_doc.get("admission"),

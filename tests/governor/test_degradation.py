@@ -10,8 +10,9 @@ escaping ``run_real_join``.
 import pytest
 
 from repro.joins import verify_pairs
+from repro.joins.reference import expected_checksum
 from repro.obs.export import schema_problems
-from repro.parallel import FaultPlan, run_real_join
+from repro.parallel import REAL_ALGORITHMS, FaultPlan, run_real_join
 from repro.governor import (
     DiskExhausted,
     MemoryExhausted,
@@ -23,6 +24,21 @@ R_OBJECTS = 300
 TIGHT_MEM = 32 * 1024
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
+
+#: The CI resource-pressure step's geometry: scale 0.02 over 4 disks
+#: under a 256 KiB total budget.
+CI_PRESSURE_OBJECTS = 2_048
+CI_PRESSURE_BUDGET = 256 * 1024
+
+#: (algorithm, seed of a CI-geometry workload or None for the module's
+#: small workload).
+RUNTIME_PRESSURE_CASES = [
+    pytest.param(algorithm, None, id=algorithm) for algorithm in ALGORITHMS
+] + [
+    pytest.param(algorithm, seed, id=f"ci-pressure-s{seed}-{algorithm}")
+    for seed in (1, 7)
+    for algorithm in sorted(REAL_ALGORITHMS)
+]
 
 
 @pytest.fixture(scope="module")
@@ -66,23 +82,47 @@ class TestBitIdenticalUnderPressure:
         assert result.governor["admission"] == "degraded"
         assert not (tmp_path / "db").exists()
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm,ci_seed", RUNTIME_PRESSURE_CASES)
     def test_runtime_mem_pressure_recovers(
-        self, workload, baselines, algorithm, tmp_path
+        self, workload, baselines, algorithm, ci_seed, tmp_path
     ):
         """An un-predicted mid-run MemoryExhausted (injected in the last
-        pass) still converges to the baseline via runtime degradation."""
+        pass) still converges to the baseline via runtime degradation.
+
+        The ``ci-pressure`` cases replay the CI resource-pressure step's
+        geometry, where admission already spends most of the ladder: the
+        runtime rung must still have somewhere to go, and the observed
+        high-water mark must stay under the prediction."""
         from repro.parallel.faults import ALGORITHM_TASKS
 
         last_task = ALGORITHM_TASKS[algorithm][-1]
+        mem_budget = 1 << 20
+        if ci_seed is not None:
+            workload = generate_workload(
+                WorkloadSpec(
+                    r_objects=CI_PRESSURE_OBJECTS,
+                    s_objects=CI_PRESSURE_OBJECTS,
+                    seed=ci_seed,
+                ),
+                disks=4,
+            )
+            mem_budget = CI_PRESSURE_BUDGET
         result = run_real_join(
             algorithm, workload, str(tmp_path / "db"), use_processes=False,
-            mem_budget=1 << 20, on_pressure="degrade",
+            mem_budget=mem_budget, on_pressure="degrade",
             fault_plan=FaultPlan.single("mem-pressure", last_task, 0),
         )
-        baseline = baselines[algorithm]
-        assert result.pair_count == baseline.pair_count
-        assert result.checksum == baseline.checksum
+        if ci_seed is None:
+            baseline = baselines[algorithm]
+            assert result.pair_count == baseline.pair_count
+            assert result.checksum == baseline.checksum
+        else:
+            assert result.pair_count == CI_PRESSURE_OBJECTS
+            assert result.checksum == expected_checksum(workload)
+            governor = result.governor
+            observed = governor["observed"]["worker_mem_high_water_bytes"]
+            predicted = governor["predicted"]["mem_high_water_bytes"]
+            assert observed is not None and observed <= predicted
         assert result.governor["runtime_degradations"] >= 1
         assert result.governor["resource_errors"].get("memory", 0) >= 1
         assert result.retries_total == 0  # degraded, never retried

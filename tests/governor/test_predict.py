@@ -17,6 +17,7 @@ from repro.governor.predict import (
     PAIR_RECORD_BYTES,
 )
 from repro.parallel import REAL_ALGORITHMS, run_real_join
+from repro.parallel.engine import plan_for
 from repro.storage.relation import PAIR_RECORD_BYTES as REAL_PAIR_BYTES
 from repro.storage.segment import PAGE_SIZE as REAL_PAGE_SIZE
 from repro.workload import WorkloadSpec, generate_workload
@@ -47,7 +48,7 @@ def test_mirrored_constants_match_storage():
 
 class TestLadder:
     def test_nested_loops_halves_batch_to_floor(self):
-        plan = JoinPlan(batch_records=256, kernel_mode="scalar")
+        plan = JoinPlan(batch_records=256)
         plan = plan.degraded("nested-loops")
         assert plan.batch_records == 128
         plan = plan.degraded("nested-loops")
@@ -55,31 +56,51 @@ class TestLadder:
         assert plan.degraded("nested-loops") == plan  # floor: no change
 
     def test_sort_merge_shrinks_runs_before_batches(self):
-        plan = JoinPlan(batch_records=128, irun=128, kernel_mode="scalar")
+        plan = JoinPlan(batch_records=128, irun=128)
         plan = plan.degraded("sort-merge")
         assert (plan.irun, plan.batch_records) == (MIN_IRUN, 128)
         plan = plan.degraded("sort-merge")
         assert plan.batch_records == MIN_BATCH_RECORDS
         assert plan.degraded("sort-merge") == plan
 
-    def test_vector_kernels_are_the_last_memory_rung(self):
-        """Vector buffers are the final thing sacrificed under pressure:
-        once every size knob sits at its floor, one more degradation
-        flips kernel_mode to scalar, and only then is the plan a fixed
-        point."""
-        for algorithm in sorted(REAL_ALGORITHMS):
-            plan = JoinPlan(kernel_mode="vector")
-            for _ in range(64):
-                lowered = plan.degraded(algorithm)
-                if lowered == plan:
-                    break
-                assert plan.kernel_mode == "vector" or (
-                    lowered.kernel_mode == "scalar"
-                )
-                plan = lowered
-            assert plan.kernel_mode == "scalar", algorithm
-            floored = plan.degraded(algorithm)
-            assert floored == plan, algorithm
+    @pytest.mark.parametrize("runs", [1, 4, 64])
+    def test_merge_high_water_is_one_batch_for_any_run_count(self, runs):
+        """The k-way merge divides one batch among its runs, so the merge
+        stage costs ``merge_batch x (r + s)`` however many runs it has."""
+        workload = generate_workload(
+            WorkloadSpec(r_objects=4_096, s_objects=4_096, seed=7), disks=2
+        )
+        merge = next(
+            stage.label for stage in plan_for("sort-merge").stages
+            if stage.kind == "merge"
+        )
+        for irun in range(1, 4_097):
+            plan = JoinPlan(batch_records=64, irun=irun)
+            estimate = predict_footprint("sort-merge", workload, plan)
+            if estimate.details["merge_runs"] == runs:
+                break
+        else:
+            pytest.fail(f"no irun cuts {runs} runs")
+        r, s = workload.spec.r_bytes, workload.spec.s_bytes
+        assert estimate.per_pass_mem_bytes[merge] == 64 * (r + s)
+
+    def test_skewed_sort_merge_fits_a_tight_budget_unchanged(self):
+        """partition_hot at paper scale (skew ~2.5) under a 3 MiB worker
+        budget: the bounded merge fits the default plan, where a merge
+        buffering a batch per run walked the whole ladder."""
+        workload = generate_workload(
+            WorkloadSpec(
+                r_objects=102_400, s_objects=102_400,
+                distribution="partition_hot",
+            ),
+            disks=4,
+        )
+        plan, steps, estimate = fit_plan(
+            "sort-merge", workload, JoinPlan(), 3 << 20
+        )
+        assert steps == 0
+        assert plan == JoinPlan()
+        assert estimate.mem_high_water_bytes <= 3 << 20
 
     def test_grace_ladder_order(self):
         plan = JoinPlan(batch_records=128, buckets=16)
@@ -162,3 +183,21 @@ class TestPredictedVsObserved:
         predicted = governor["predicted"]["disk_bytes"]
         observed = governor["observed"]["disk_peak_bytes"]
         assert 0 < observed <= predicted, (algorithm, observed, predicted)
+
+    def test_merge_observed_high_water_is_one_batch(self, workload, tmp_path):
+        """Ten-odd short runs per partition merged with 64-record batches:
+        the run cursors share one batch, so every merge worker stays
+        within ``64 x (r + s)`` however many runs it drains."""
+        result = run_real_join(
+            "sort-merge", workload, str(tmp_path / "db"), use_processes=False,
+            irun=16, batch_records=64,
+        )
+        bound = 64 * (workload.spec.r_bytes + workload.spec.s_bytes)
+        merge_workers = result.worker_metrics["merge-join"].values()
+        assert merge_workers
+        for snapshot in merge_workers:
+            (high_water,) = [
+                value for key, value in snapshot["gauges"].items()
+                if key.startswith("worker.mem_high_water_bytes")
+            ]
+            assert 0 < high_water <= bound

@@ -153,3 +153,23 @@ def test_manifest_for_another_algorithm_is_declined(workload, tmp_path):
     assert "algorithm" in (resumed.resume["reason"] or "")
     assert resumed.pair_count == baseline.pair_count
     assert resumed.checksum == baseline.checksum
+
+
+def test_manifest_with_unknown_plan_knobs_is_declined(workload, tmp_path):
+    """A manifest whose plan carries a knob this build does not have (a
+    removed one, like the old kernel mode) cannot say what plan its
+    stages ran under: the resume falls back to a fresh run."""
+    store = tmp_path / "crashed"
+    run_to_crash("grace", workload, store)
+    path = manifest_path(str(store))
+    manifest = json.loads(path.read_text())
+    manifest["plan"]["kernel_mode"] = "scalar"
+    path.write_text(json.dumps(manifest))
+    resumed = run_real_join(
+        "grace", workload, str(store),
+        use_processes=False, keep_store=True, collect_pairs=False,
+        resume=True,
+    )
+    assert resumed.resume["resumed"] is False
+    assert "unknown knobs" in (resumed.resume["reason"] or "")
+    assert resumed.pair_count == workload.r_objects_total

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.pointer import PointerMap
 from repro.governor.predict import JoinPlan
+from repro.joins import verify_pairs
 from repro.joins.reference import expected_checksum
 from repro.parallel import run_real_join
 from repro.parallel.engine.partition import (
@@ -32,6 +33,7 @@ from repro.parallel.engine.partition import (
 from repro.parallel.engine.stages import PARTITIONER_NAMES, algorithms
 from repro.workload import WorkloadSpec, generate_workload
 from repro.workload.distributions import zipf_pointers
+from tests.parallel.golden import run_case, segment_drift
 
 import random
 
@@ -280,22 +282,17 @@ class TestEndToEnd:
     def test_scalar_vector_and_oracle_agree(
         self, workload, algorithm, tmp_path
     ):
-        oracle = expected_checksum(workload)
-        results = {}
-        for mode in ("scalar", "vector"):
-            results[mode] = run_real_join(
-                algorithm,
-                workload,
-                str(tmp_path / mode),
-                use_processes=False,
-                kernels=mode,
-            )
-        scalar, vector = results["scalar"], results["vector"]
-        assert scalar.checksum == oracle
-        assert vector.checksum == scalar.checksum
-        assert vector.pair_count == scalar.pair_count
-        assert vector.pass_checksums == scalar.pass_checksums
-        assert scalar.partitioner == algorithm.split("-", 1)[1]
+        """The oracle's pairs, and the golden spill and pair bytes the
+        per-record reference kernels wrote for this plan on this zipf
+        workload."""
+        case = f"{algorithm}/zipf"
+        result = run_case(case, tmp_path / "db")
+        assert result.checksum == expected_checksum(workload)
+        assert result.pair_count == workload.r_objects_total
+        assert verify_pairs(workload, result.pairs) == workload.r_objects_total
+        assert result.partitioner == algorithm.split("-", 1)[1]
+        drift = segment_drift(case, tmp_path / "db")
+        assert not drift, "\n".join(drift)
 
     def test_partitioner_flag_overrides_plan(self, workload, tmp_path):
         result = run_real_join(

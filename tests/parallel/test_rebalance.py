@@ -17,6 +17,7 @@ from repro.parallel.engine.rebalance import (
 )
 from repro.parallel.engine.task import Shard, task_slot
 from repro.workload import WorkloadSpec, generate_workload
+from tests.parallel.golden import run_case, segment_drift
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
 
@@ -144,19 +145,17 @@ class TestBitIdentity:
         assert sum(r["splits"] for r in rebalance["on"].values()) > 0
 
     def test_scalar_matches_vector_when_sharded(self, workload, tmp_path):
-        identities = set()
-        for kernels in ("vector", "scalar"):
-            result = run_real_join(
-                "sort-merge",
-                workload,
-                str(tmp_path / kernels),
-                use_processes=False,
-                collect_pairs=False,
-                kernels=kernels,
-                rebalance="on",
-            )
-            identities.add((result.pair_count, result.checksum))
-        assert len(identities) == 1
+        """Key-sharded sort-merge — one run per partition, and many short
+        runs merged under a one-batch budget — writes the golden segment
+        bytes, which the per-record reference kernels produced too."""
+        for case in ("sort-merge/rebalance-on", "sort-merge/rebalance-on-floor"):
+            root = tmp_path / case.split("/")[1]
+            result = run_case(case, root, collect_pairs=False)
+            assert sum(r["splits"] for r in result.rebalance.values()) > 0
+            assert result.pair_count == workload.r_objects_total
+            assert result.checksum == expected_checksum(workload)
+            drift = segment_drift(case, root)
+            assert not drift, "\n".join(drift)
 
     def test_auto_shards_only_the_hot_stage(self, workload, tmp_path):
         result = run_real_join(

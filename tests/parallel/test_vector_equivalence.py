@@ -1,131 +1,85 @@
-"""Scalar-vs-vector kernel equivalence: the vectorized kernels are a pure
-performance substitution.
+"""Vector-kernel equivalence: every plan reproduces the workload oracle and
+the golden segment bytes.
 
-Every configuration here runs the same join twice — once with the numpy
-stage kernels, once with the per-record scalar kernels — and asserts the
-outputs are indistinguishable: identical pair counts, identical order-
-independent checksums, identical per-pass record counts and checksums,
-and (for the default plans) byte-identical segment files on disk.
+The stage kernels are numpy columnar bodies.  Their reference is two-fold:
+the workload oracle (pair count, order-independent checksum, the exact
+multiset of pairs) and ``golden_segments.json`` (the sha256 of every
+segment a kept store holds — relations, spills, runs, bucket files and
+PAIRS blocks — recorded from a build whose per-record reference kernels
+produced the same bytes; see :mod:`tests.parallel.golden`).  Every
+configuration here runs the join and asserts both: identical pairs, and
+byte-identical segment files on disk, at every ladder rung, after a crash
+in every pass, and at the ladder's floor under a tight budget.
 """
-
-import filecmp
-from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.parallel import FaultPlan, run_real_join
-from repro.workload import WorkloadSpec, generate_workload
-
-ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
-
-#: Degradation-ladder rungs the governor can leave a plan on: each knob
-#: here is a value the ladder reaches on its way to the floor, so the
-#: equivalence claim covers degraded plans, not just the defaults.
-RUNGS = [
-    pytest.param({}, id="default-plan"),
-    pytest.param({"batch_records": 64}, id="batch-floor"),
-    pytest.param({"irun": 64}, id="small-runs"),
-    pytest.param({"buckets": 29, "tsize": 16}, id="finer-buckets"),
-    pytest.param({"resident_buckets": 0}, id="no-resident"),
-]
+from repro.joins import verify_pairs
+from repro.joins.reference import expected_checksum
+from repro.parallel import FaultPlan
+from tests.parallel.golden import (
+    CASES,
+    PLANS,
+    RUNGS,
+    golden,
+    run_case,
+    segment_drift,
+    store_digests,
+    workload,
+)
 
 
-@pytest.fixture(scope="module")
-def workload():
-    # Odd sizes + a second seed: single-record buckets and uneven
-    # partition tails are exactly where vector/scalar drift would hide.
-    return generate_workload(
-        WorkloadSpec(r_objects=1021, s_objects=1021, seed=13), disks=4
-    )
+def assert_matches_oracle(name, result):
+    data = workload(CASES[name][0])
+    assert result.pair_count == data.r_objects_total
+    assert result.checksum == expected_checksum(data)
+    if result.pairs is not None:
+        assert verify_pairs(data, result.pairs) == data.r_objects_total
 
 
-def run_pair(workload, algorithm, tmp_path, **kwargs):
-    """The same join under both kernel modes; returns (scalar, vector)."""
-    results = {}
-    for mode in ("scalar", "vector"):
-        results[mode] = run_real_join(
-            algorithm, workload, str(tmp_path / mode), use_processes=False,
-            kernels=mode, **kwargs,
-        )
-    return results["scalar"], results["vector"]
-
-
-def assert_equivalent(scalar, vector):
-    assert scalar.kernel_mode == "scalar"
-    assert vector.kernel_mode == "vector"
-    assert vector.pair_count == scalar.pair_count
-    assert vector.checksum == scalar.checksum
-    assert vector.pass_counts == scalar.pass_counts
-    assert vector.pass_checksums == scalar.pass_checksums
-    # Emission order, not just content: the pairs lists line up 1:1.
-    assert vector.pairs == scalar.pairs
+def assert_matches_golden(name, root):
+    drift = segment_drift(name, root)
+    assert not drift, "\n".join(drift)
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("plan_kwargs", RUNGS)
-    def test_rung_equivalence(
-        self, workload, algorithm, plan_kwargs, tmp_path
-    ):
-        scalar, vector = run_pair(
-            workload, algorithm, tmp_path, **plan_kwargs
-        )
-        assert_equivalent(scalar, vector)
+    @pytest.mark.parametrize("algorithm", PLANS)
+    @pytest.mark.parametrize("rung", list(RUNGS))
+    def test_rung_equivalence(self, algorithm, rung, tmp_path):
+        name = f"{algorithm}/{rung}"
+        result = run_case(name, tmp_path / "db")
+        assert_matches_oracle(name, result)
+        assert_matches_golden(name, tmp_path / "db")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_segment_bytes_identical(self, workload, algorithm, tmp_path):
-        """The kept stores are bit-identical, file by file: same segment
+    @pytest.mark.parametrize("algorithm", PLANS)
+    def test_segment_bytes_identical(self, algorithm, tmp_path):
+        """Pool workers write the same store, file by file: same segment
         names, same bytes — headers, bucket directories, pair blocks."""
-        scalar, vector = run_pair(
-            workload, algorithm, tmp_path, keep_store=True
-        )
-        assert_equivalent(scalar, vector)
-        s_root, v_root = tmp_path / "scalar", tmp_path / "vector"
-        s_files = sorted(
-            p.relative_to(s_root) for p in s_root.rglob("*.seg")
-        )
-        v_files = sorted(
-            p.relative_to(v_root) for p in v_root.rglob("*.seg")
-        )
-        assert s_files == v_files and s_files
-        for rel in s_files:
-            assert filecmp.cmp(
-                s_root / rel, v_root / rel, shallow=False
-            ), f"{algorithm}: {rel} differs between kernel modes"
+        name = f"{algorithm}/default-plan"
+        result = run_case(name, tmp_path / "db", use_processes=True)
+        assert_matches_oracle(name, result)
+        actual = store_digests(tmp_path / "db")
+        assert sorted(actual) == sorted(golden()[name]) and actual
+        assert_matches_golden(name, tmp_path / "db")
 
-    def test_tight_memory_budget_degrades_identically(
-        self, workload, tmp_path
-    ):
-        """Under a budget that forces the ladder down to the scalar rung,
-        the degraded vector run converges to scalar-kernel output."""
-        scalar, vector = run_pair(
-            workload, "grace", tmp_path,
-            mem_budget=64 * 1024, on_pressure="degrade",
-        )
-        assert vector.pair_count == scalar.pair_count
-        assert vector.checksum == scalar.checksum
-        # The budget drove both plans to the floor; the vector plan then
-        # took one more rung — the kernel flip — and finished scalar.
-        assert vector.kernel_mode == "scalar"
-        assert (
-            vector.governor["degradations_total"]
-            == scalar.governor["degradations_total"] + 1
-        )
+    def test_tight_memory_budget_degrades_identically(self, tmp_path):
+        """A budget that drives grace down to the ladder's floor changes
+        the plan, never the bytes that plan writes."""
+        name = "grace/tight-budget"
+        result = run_case(name, tmp_path / "db")
+        assert_matches_oracle(name, result)
+        assert result.governor["degradations_total"] >= 1
+        assert_matches_golden(name, tmp_path / "db")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_crash_recovery_equivalence(self, workload, algorithm, tmp_path):
-        """A crash in every pass plus retries leaves vector output equal
-        to a clean scalar run: retried vector passes overwrite torn state
-        exactly like the scalar kernels do."""
-        clean = run_real_join(
-            algorithm, workload, str(tmp_path / "clean"),
-            use_processes=False, kernels="scalar",
-        )
-        recovered = run_real_join(
-            algorithm, workload, str(tmp_path / "faulted"),
-            use_processes=False, kernels="vector",
+    @pytest.mark.parametrize("algorithm", PLANS)
+    def test_crash_recovery_equivalence(self, algorithm, tmp_path):
+        """A crash in every pass plus retries leaves output equal to a
+        clean run and the golden store: retried passes overwrite torn
+        state completely."""
+        name = f"{algorithm}/default-plan"
+        clean = run_case(name, tmp_path / "clean")
+        recovered = run_case(
+            name, tmp_path / "faulted",
             fault_plan=FaultPlan.crash_every_pass(algorithm), retries=2,
         )
         assert recovered.retries_total > 0
@@ -133,3 +87,20 @@ class TestKernelEquivalence:
         assert recovered.checksum == clean.checksum
         assert recovered.pass_counts == clean.pass_counts
         assert recovered.pass_checksums == clean.pass_checksums
+        assert_matches_oracle(name, recovered)
+        assert_matches_golden(name, tmp_path / "faulted")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in CASES if "/zipf" in name or "/rebalance" in name]
+)
+def test_skewed_cases_match_golden(name, tmp_path):
+    """The golden cases the tests above do not run: force-sharded plans
+    on a partition_hot workload and the zipf cases."""
+    result = run_case(name, tmp_path / "db")
+    assert_matches_oracle(name, result)
+    assert_matches_golden(name, tmp_path / "db")
+
+
+def test_every_golden_case_is_defined():
+    assert sorted(golden()) == sorted(CASES)

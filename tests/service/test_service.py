@@ -326,14 +326,14 @@ def test_startup_scrub_deletes_corrupt_segments_and_evicts_the_store(tmp_path):
 
 # ------------------------------------------------------ stats doc & shutdown
 
-def test_stats_document_is_valid_v5_with_latency(make_service):
+def test_stats_document_is_valid_v6_with_latency(make_service):
     service = make_service()
     with JoinServiceClient(service.config.socket_path) as client:
         client.join("grace", **join_args())
         client.join("sort-merge", **join_args())
         document = client.stats()
     validate_stats_document(document)
-    assert document["schema_version"] == 5
+    assert document["schema_version"] == 6
     assert document["meta"]["backend"] == "join-service"
     section = document["service"]
     assert section["requests_total"] == 2
