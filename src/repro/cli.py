@@ -38,7 +38,6 @@ from repro.harness.figures import all_figures, figure_1a, figure_1b, figure_5a, 
 from repro.harness.report import format_table, shape_summary
 from repro.joins import JoinEnvironment, make_algorithm, verify_pairs
 from repro.model import MemoryParameters
-from repro.parallel.engine.stages import PARTITIONER_NAMES
 from repro.parallel.engine.stages import algorithms as real_algorithms
 from repro.workload import (
     DISTRIBUTIONS,
@@ -139,15 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help="real-backend store directory (kept after the run) instead "
              "of a throwaway temporary directory",
-    )
-    join.add_argument(
-        "--partitioner", choices=PARTITIONER_NAMES, default=None,
-        help="real-backend partitioning strategy for the bucketed plans: "
-             "the paper's order-preserving hash, the cache-budgeted "
-             "radix scatter, or the learned equal-depth CDF model; "
-             "default is the plan's declared strategy (grace-radix/"
-             "grace-learned differ from grace only there); also "
-             "settable via REPRO_PARTITIONER",
     )
     join.add_argument(
         "--resume", action="store_true",
@@ -491,7 +481,6 @@ def _cmd_join(args) -> int:
                     on_pressure=args.on_pressure,
                     governor=governor,
                     rebalance=args.rebalance,
-                    partitioner=args.partitioner,
                 )
             except ResourceExhausted as error:
                 # Classified exhaustion is an orderly refusal, not a crash:

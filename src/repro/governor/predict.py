@@ -66,14 +66,6 @@ MAX_BUCKETS = 248
 #: mis-estimate into a runtime degradation round.
 FIT_MARGIN = 0.75
 
-#: Mirror of :data:`repro.parallel.engine.rebalance.REBALANCE_RATIO`
-#: (not imported — that module pulls in the storage layer).  With
-#: rebalancing active the executor splits any partition whose share
-#: exceeds this multiple of the mean into proportional shards, so the
-#: worst *task* the shardable stage kinds run is capped near
-#: ``mean x ratio`` no matter how skewed the partition-level split is.
-REBALANCE_SKEW_CAP = 1.5
-
 
 def _pass_plan(algorithm: str):
     """The registered PassPlan for ``algorithm`` (lazy, cycle-free)."""
@@ -109,9 +101,9 @@ class JoinPlan:
     #: the executor's threshold), ``"on"`` (force-shard every non-empty
     #: partition of the shardable stages — the bit-identity proof mode).
     rebalance: str = "auto"
-    #: Partitioning strategy override for bucketed plans (``"hash"``,
-    #: ``"radix"``, ``"learned"``).  ``None`` leaves each plan's declared
-    #: strategy; the ladder's strategy→hash rung sets it explicitly.
+    #: Bucketed plans only: ``None`` runs each plan's declared
+    #: partitioning strategy; the ladder's strategy→hash rung sets
+    #: ``"hash"``.
     partitioner: Optional[str] = None
 
     def effective_resident_buckets(self) -> int:
@@ -120,11 +112,9 @@ class JoinPlan:
     def effective_partitioner(self, algorithm: str) -> Optional[str]:
         """The strategy the partition stage will actually run, or None
         when the plan has no partitioner-bearing stage."""
-        pass_plan = _pass_plan(algorithm)
-        for stage in pass_plan.stages:
-            declared = getattr(stage, "partitioner", None)
-            if declared is not None:
-                return self.partitioner or declared
+        for stage in _pass_plan(algorithm).stages:
+            if stage.kind == "partition":
+                return stage.strategy(self)
         return None
 
     def as_dict(self) -> dict:
@@ -291,13 +281,15 @@ def predict_footprint(
     # barrier makes the most-skewed partition gate every pass.
     inbound = max(1.0, geometry.rs_i * relations.skew)
     # With rebalancing active the executor shards any partition whose
-    # inbound exceeds REBALANCE_SKEW_CAP x the mean, so the worst *task*
+    # inbound exceeds REBALANCE_RATIO x the mean, so the worst *task*
     # of the shardable record/key stages sees a capped share.  Disk
     # totals and run counts are unchanged — sharding moves work, not
     # bytes.  Probe stages keep the raw skew: bucket shards bound task
     # *counts*, but the single worst bucket's table is indivisible.
+    from repro.parallel.engine.stages import REBALANCE_RATIO
+
     skew_eff = (
-        min(relations.skew, REBALANCE_SKEW_CAP)
+        min(relations.skew, REBALANCE_RATIO)
         if plan.rebalance != "off"
         else relations.skew
     )
@@ -353,9 +345,7 @@ def predict_footprint(
                 # the scan: one chunk of S objects rides on top of the
                 # retained R buffer.
                 estimate += batch * s
-            strategy = plan.partitioner or getattr(
-                stage, "partitioner", "hash"
-            )
+            strategy = stage.strategy(plan)
             if strategy != "hash":
                 # Strategy-specific scratch (radix pass lanes, learned
                 # boundary tables) priced by the partitioner layer

@@ -8,7 +8,6 @@ admission/governance facade.
 
 from repro.parallel.engine.stages import PassPlan, PassPlanError, plan_for
 from repro.parallel.faults import (
-    ALGORITHM_TASKS,
     FAULTS_FILE,
     FaultPlan,
     FaultPlanError,
@@ -31,7 +30,6 @@ from repro.parallel.runner import (
 from repro.parallel.workers import PairResult
 
 __all__ = [
-    "ALGORITHM_TASKS",
     "FAULTS_FILE",
     "FaultPlan",
     "FaultPlanError",

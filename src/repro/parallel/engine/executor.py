@@ -46,7 +46,7 @@ import json
 import multiprocessing
 import multiprocessing.pool
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -69,10 +69,16 @@ from repro.parallel.engine.partition import (
     sweep_partitioner_state,
 )
 from repro.parallel.engine.rebalance import plan_stage_rebalance
-from repro.parallel.engine.stages import PassPlan, Stage, StageContext
+from repro.parallel.engine.stages import (
+    PartitionStage,
+    PassPlan,
+    Stage,
+    StageContext,
+)
 from repro.parallel.engine.task import (
     CHECKSUM_MOD,
     OBS_MARKER,
+    KernelTask,
     PairResult,
     StageOutput,
     metrics_sidecar,
@@ -161,7 +167,7 @@ def plan_stage_units(
     plan: JoinPlan,
     outcome: "ExecutionOutcome",
 ) -> List[tuple]:
-    """One ``(slot, kernel_args)`` dispatch unit per task of ``stage``.
+    """One ``(slot, KernelTask)`` dispatch unit per task of ``stage``.
 
     The default is one unit per partition.  For a rebalance-capable
     stage under a plan whose ``rebalance`` mode allows it, the inbound
@@ -169,7 +175,23 @@ def plan_stage_units(
     barrier's published artifacts) and oversized partitions split into
     shard units along the stage's axis; the decision lands in
     ``outcome.rebalance[stage.label]``.
+
+    A partition stage's strategy is resolved here, once per round.  A
+    strategy that needs fitted state (the learned CDF model) is fit
+    driver-side from the warm store — deterministic stride sampling, so
+    a resumed or degraded round refits the identical model — and
+    installed as a store-root marker file: like the budgets, an env var
+    could neither reach forked pool workers nor change between
+    degradation rounds.
     """
+    partitioner = None
+    if isinstance(stage, PartitionStage):
+        partitioner = stage.strategy(plan)
+        if partitioner_class(partitioner).requires_fit:
+            state = fit_learned_state(
+                store, ctx.disks, ctx.s_objects, plan.buckets
+            )
+            install_partitioner_state(ctx.store_root, state)
     mode = getattr(plan, "rebalance", "off") or "off"
     decision = None
     if stage.rebalance is not None and mode != "off":
@@ -178,10 +200,10 @@ def plan_stage_units(
         )
     units: List[tuple] = []
     for partition in range(ctx.disks):
-        args = stage.args_for(ctx, plan, partition)
+        task = KernelTask(ctx, plan, partition, partitioner)
         shards = decision.shards[partition] if decision is not None else None
         if not shards:
-            units.append((partition, args))
+            units.append((partition, task))
             continue
         if stage.kind == "sort-run":
             # Sharded run cutters must not sweep stale runs themselves —
@@ -191,7 +213,9 @@ def plan_stage_units(
             for stale in run_paths(store, partition):
                 stale.unlink(missing_ok=True)
         for shard in shards:
-            units.append((task_slot(partition, shard), args + (shard,)))
+            units.append(
+                (task_slot(partition, shard), replace(task, shard=shard))
+            )
     if decision is not None:
         outcome.rebalance[stage.label] = decision.report()
     return units
@@ -371,7 +395,7 @@ def execute_plan(
                 pool, stage, units, outcome.pass_wall_ms,
                 policy, store_root, algorithm, recovery,
             )
-        harvest_metrics(stage, [slot for slot, _args in units])
+        harvest_metrics(stage, [slot for slot, _task in units])
         sample_disk()
         moved = 0
         stage_pairs: List[PairResult] = []
@@ -446,32 +470,6 @@ def execute_plan(
         store.cleanup_temps()
         store.cleanup_orphans()
 
-    def install_partitioners(current: JoinPlan) -> None:
-        """Fit and publish run-scoped partitioner state for this round.
-
-        The learned strategy's CDF model is fit driver-side from the
-        warm store (deterministic stride sampling, so a resumed or
-        retried run refits the identical model) and installed as a
-        marker file — like the budgets, an env var could neither
-        reach forked pool workers nor change between degradation
-        rounds.  Stateless strategies sweep any stale model instead.
-        """
-        # Walk the pass plan directly (not the registry): execute_plan
-        # also runs ad-hoc unregistered plans in tests.
-        name = None
-        for stage in pass_plan.stages:
-            declared = getattr(stage, "partitioner", None)
-            if declared is not None:
-                name = current.partitioner or declared
-                break
-        if name is not None and partitioner_class(name).requires_fit:
-            install_partitioner_state(
-                store_root,
-                fit_learned_state(store, disks, spec.s_objects, current.buckets),
-            )
-        else:
-            sweep_partitioner_state(store_root)
-
     try:
         if collect_metrics:
             (Path(store_root) / OBS_MARKER).touch()
@@ -531,7 +529,6 @@ def execute_plan(
                         )
             store.cleanup_temps()
         sample_disk()
-        install_partitioners(plan)
         if fault_plan is not None:
             fault_plan.install(store_root)
         if pool is None and use_processes and disks > 1:
@@ -569,7 +566,6 @@ def execute_plan(
                     "runner.degradations_total", 1, algo=algorithm
                 )
                 reset_round()
-                install_partitioners(current)
         outcome.plan = current
         # A completed run needs no resume; a surviving manifest on a
         # warm store would wrongly skip the *next* join's passes.
@@ -626,7 +622,7 @@ def _dispatch_stage(
 ) -> list:
     """Dispatch one stage's units (tasks), retrying failed ones.
 
-    ``units`` is the ``(slot, kernel_args)`` list from
+    ``units`` is the ``(slot, KernelTask)`` list from
     :func:`plan_stage_units` — one per partition, or one per shard where
     the rebalancer split a partition.  Every task gets ``1 +
     policy.retries`` attempts (plus one optional inline-fallback attempt

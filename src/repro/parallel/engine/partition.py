@@ -136,6 +136,11 @@ def equal_depth_cuts(weights: Sequence[int], count: int) -> List[int]:
     return cuts
 
 
+def stride_positions(n: int, take: int):
+    """The ``take`` evenly strided sample positions ``j * n // take``."""
+    return _np.arange(take, dtype=_np.int64) * n // take
+
+
 # --------------------------------------------------------- radix passes
 
 
@@ -485,8 +490,9 @@ def fit_learned_state(store, disks: int, s_objects: int, buckets: int) -> dict:
 
     Driver-side, before the partition pass: up to
     :data:`LEARNED_SAMPLES_PER_PARTITION` pointers per R partition,
-    stride-sampled so the sample spans the partition, located to
-    ``(target, offset)`` and pooled per target.
+    stride-sampled (positions ``j * n // take``) from one columnar read
+    so the sample spans the partition, located to ``(target, offset)``
+    and pooled per target.
     """
     from repro.core.pointer import PointerMap
 
@@ -498,8 +504,9 @@ def fit_learned_state(store, disks: int, s_objects: int, buckets: int) -> dict:
             if not n:
                 continue
             take = min(LEARNED_SAMPLES_PER_PARTITION, n)
-            sptrs = [rel.get(j * n // take).sptr for j in range(take)]
-        for target, offset in pmap.locate_many(sptrs):
+            sptr = rel.read_columns(0, n)[1]
+        parts, offs = pmap.locate_array(sptr[stride_positions(n, take)])
+        for target, offset in zip(parts.tolist(), offs.tolist()):
             samples[target].append(offset)
     return LearnedPartitioner.fit(samples, buckets)
 

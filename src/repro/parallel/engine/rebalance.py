@@ -37,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.parallel.engine.partition import cdf_quantiles, equal_depth_cuts
+from repro.parallel.engine.partition import (
+    cdf_quantiles,
+    equal_depth_cuts,
+    stride_positions,
+)
+from repro.parallel.engine.stages import REBALANCE_RATIO
 from repro.parallel.engine.task import (
     Shard,
     bucket_spill_paths,
@@ -54,9 +59,6 @@ from repro.storage.store import Store
 #: :data:`REBALANCE_RATIO`, ``"on"`` force-shards every non-empty
 #: partition (the bit-identity proof mode).
 REBALANCE_MODES = ("off", "auto", "on")
-
-#: ``max(sizes) / mean(sizes)`` at or above which ``"auto"`` rebalances.
-REBALANCE_RATIO = 1.5
 
 #: Upper bound on shards per partition — more tasks than pool workers
 #: buys nothing past small multiples.
@@ -320,8 +322,8 @@ def _key_shards(store: Store, partition: int, count: int) -> List[Shard]:
             if not n:
                 continue
             take = min(KEY_SAMPLES_PER_RUN, n)
-            for j in range(take):
-                samples.append(rel.get(j * n // take).sptr)
+            sptr = rel.read_columns(0, n)[1]
+            samples.extend(sptr[stride_positions(n, take)].tolist())
         finally:
             rel.close()
     if not samples:

@@ -17,12 +17,13 @@ physical operators:
 * :class:`ProbeStage` — per-bucket hash-table probe against S.
 
 The executor (:mod:`repro.parallel.engine.executor`) never looks at the
-algorithm name: it walks the stages, builds each worker's argument tuple
-via :meth:`Stage.build_args`, and enforces the plan's
-:class:`ConservationRule` set.  The governor's footprint model
-(:mod:`repro.governor.predict`) walks the same stages, so prediction and
-the degradation ladder extend to a new algorithm automatically when its
-plan is registered.
+algorithm name: it walks the stages, hands each kernel one
+:class:`~repro.parallel.engine.task.KernelTask` (the run's
+:class:`StageContext`, the current plan knobs, the partition), and
+enforces the plan's :class:`ConservationRule` set.  The governor's
+footprint model (:mod:`repro.governor.predict`) walks the same stages,
+so prediction and the degradation ladder extend to a new algorithm
+automatically when its plan is registered.
 
 This module is import-light on purpose — dataclasses and the registry
 only, no storage or multiprocessing — so the governor can import plans
@@ -31,8 +32,8 @@ without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple, Union
 
 #: How a stage's per-partition worker return value is interpreted.
 #: ``"moved"`` — an int count of redistributed records; ``"pairs"`` — a
@@ -45,6 +46,11 @@ EMIT_KINDS = ("moved", "pairs", "both")
 #: sampled key CDF); ``"buckets"`` — contiguous hash-bucket ranges
 #: (equal-depth over the exact per-bucket histogram).
 REBALANCE_AXES = ("records", "keys", "buckets")
+
+#: ``max(sizes) / mean(sizes)`` at or above which the ``"auto"``
+#: rebalance mode shards a stage's oversized partitions; the governor's
+#: footprint model caps the worst task's skew at the same ratio.
+REBALANCE_RATIO = 1.5
 
 #: Legal partitioning strategies a :class:`PartitionStage` may declare.
 #: The implementations live in :mod:`repro.parallel.engine.partition`
@@ -62,9 +68,9 @@ class PassPlanError(ValueError):
 
 @dataclass(frozen=True)
 class StageContext:
-    """Everything a stage needs to build worker argument tuples.
+    """The run's fixed geometry, shared by every kernel task.
 
-    One context per run; stages combine it with the current
+    One context per run; each task pairs it with the current
     :class:`~repro.governor.predict.JoinPlan` (whose knobs change under
     degradation) and a partition index.
     """
@@ -80,10 +86,8 @@ class Stage:
     """One pass of a join plan, executed once per partition.
 
     ``kernel`` names a worker function registered with
-    :func:`repro.parallel.engine.task.register_kernel`; ``build_args``
-    produces the positional argument tuple that kernel receives.  Every
-    tuple must start ``(store_root, disks, partition, ...)`` — the engine
-    task wrapper and the fault injector key off those three.
+    :func:`repro.parallel.engine.task.register_kernel`; it receives one
+    :class:`~repro.parallel.engine.task.KernelTask` per partition.
     """
 
     kind: ClassVar[str] = "stage"
@@ -91,7 +95,6 @@ class Stage:
     label: str
     kernel: str
     emits: str
-    build_args: Callable = field(compare=False)
     #: The axis the executor may split this stage's per-partition work
     #: along when the inbound sizes are skewed (None — not splittable;
     #: the stage's kernel must understand the attached
@@ -109,15 +112,6 @@ class Stage:
                 f"stage {self.label!r} rebalances along "
                 f"{self.rebalance!r}; choices: {REBALANCE_AXES}"
             )
-
-    def args_for(self, ctx: StageContext, plan, partition: int) -> tuple:
-        args = self.build_args(ctx, plan, partition)
-        if args[:3] != (ctx.store_root, ctx.disks, partition):
-            raise PassPlanError(
-                f"stage {self.label!r} built a malformed arg tuple; it "
-                "must start (store_root, disks, partition)"
-            )
-        return args
 
 
 @dataclass(frozen=True)
@@ -144,8 +138,9 @@ class PartitionStage(Stage):
     joins its plan-designated resident buckets during the scan (hybrid
     hash), so the stage emits pairs as well as moved records and the
     ``resident_buckets`` knob applies.  ``partitioner`` — the strategy
-    the kernel scatters buckets with (the plan's declared default; the
-    governor's ``partitioner`` knob overrides it at run time).
+    the kernel scatters buckets with; the plan name chooses it
+    (``grace`` / ``grace-radix`` / ``grace-learned`` differ only here),
+    and only the governor's strategy→hash ladder rung replaces it.
     """
 
     kind: ClassVar[str] = "partition"
@@ -161,6 +156,12 @@ class PartitionStage(Stage):
                 f"stage {self.label!r} partitions via "
                 f"{self.partitioner!r}; choices: {PARTITIONER_NAMES}"
             )
+
+    def strategy(self, plan) -> str:
+        """The strategy this stage runs under ``plan``: its declared one,
+        or ``plan.partitioner`` once the ladder's strategy→hash rung set
+        it."""
+        return plan.partitioner or self.partitioner
 
 
 @dataclass(frozen=True)

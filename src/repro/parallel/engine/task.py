@@ -18,10 +18,10 @@ lives here exactly once:
   agree on names through one module instead of duplicated string logic.
 
 Kernels are plain functions registered by name
-(:func:`register_kernel`); the executor ships only the *name* plus the
-argument tuple across the pool, and :func:`run_task` resolves it in the
-worker process — keeping the pickled payload tiny and the kernels
-decorator-free (directly callable in tests).
+(:func:`register_kernel`) that take one :class:`KernelTask`; the executor
+ships only the kernel *name* plus the task across the pool, and
+:func:`run_task` resolves it in the worker process — keeping the pickled
+payload tiny and the kernels decorator-free (directly callable in tests).
 """
 
 from __future__ import annotations
@@ -29,14 +29,16 @@ from __future__ import annotations
 import importlib
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as _np
 
 from repro.core.records import RObject
 from repro.governor.budget import load_budgets
 from repro.governor.errors import ResourceExhausted, classify_os_error
+from repro.governor.predict import JoinPlan
 from repro.obs.registry import MetricsRegistry, activate, active, deactivate
 from repro.obs.spans import span
 from repro.governor.watchdog import (
@@ -45,6 +47,7 @@ from repro.governor.watchdog import (
     deactivate_meter,
     rss_high_water_bytes,
 )
+from repro.parallel.engine.stages import StageContext
 from repro.parallel.faults import maybe_inject
 from repro.storage.relation import PairsFile, RRelationFile
 from repro.storage.store import Store
@@ -74,10 +77,7 @@ class Shard(NamedTuple):
     ``index``/``count`` place the shard among its siblings for the same
     partition; ``lo``/``hi`` bound the half-open input range along the
     stage's declared axis (record positions, sorted pointer keys, or
-    bucket numbers — the kernel knows which).  The executor appends the
-    shard as the *last* element of the kernel argument tuple so the
-    ``(store_root, disks, partition)`` prefix every kernel and fault
-    coordinate relies on is untouched.
+    bucket numbers — the kernel knows which).
     """
 
     index: int
@@ -93,10 +93,24 @@ class Shard(NamedTuple):
 RUN_SHARD_STRIDE = 1 << 20
 
 
-def shard_of(args) -> Shard | None:
-    """The shard attached to a kernel argument tuple, if any."""
-    tail = args[-1] if len(args) > 3 else None
-    return tail if isinstance(tail, Shard) else None
+@dataclass(frozen=True)
+class KernelTask:
+    """Everything one kernel invocation needs, built by the executor.
+
+    Like the paper's Rproc_i, a kernel gets its partition and the
+    algorithm's parameters: the run's fixed geometry (``ctx``), the
+    current plan knobs (``plan`` — batch size, ``irun``, buckets,
+    ``TSIZE``, spill threshold; they change under degradation), and
+    ``partition``.  ``partitioner`` is the resolved strategy name for
+    partition stages (None elsewhere); ``shard`` is set when the
+    rebalancer split the partition's work.
+    """
+
+    ctx: StageContext
+    plan: JoinPlan
+    partition: int
+    partitioner: Optional[str] = None
+    shard: Optional[Shard] = None
 
 
 def task_slot(partition: int, shard: Shard | None) -> int | str:
@@ -113,7 +127,7 @@ def register_kernel(func: Callable) -> Callable:
     """Register a stage kernel under its function name.
 
     Returns ``func`` unchanged — kernels stay plain callables (tests
-    invoke them directly with a raw argument tuple; the null-object
+    invoke them directly with a :class:`KernelTask`; the null-object
     fallbacks of :func:`~repro.governor.watchdog.active_meter` and
     :func:`~repro.obs.registry.active` make that legal).
     """
@@ -136,7 +150,7 @@ def resolve_kernel(name: str) -> Callable:
 
 
 def run_task(payload):
-    """Execute one ``(kernel_name, args)`` task under the armed hooks.
+    """Execute one ``(kernel_name, KernelTask)`` payload under the armed hooks.
 
     This is the backend's single instrumentation point *and* its
     classification boundary: any raw ``OSError``/``MemoryError`` that
@@ -147,21 +161,22 @@ def run_task(payload):
     broken".  Uninstrumented dispatch (no marker, no budget file, no
     fault plan) costs three ``stat`` calls.
     """
-    task, args = payload
-    root, partition = args[0], args[2]
-    func = resolve_kernel(task)
+    name, task = payload
+    func = resolve_kernel(name)
     try:
-        return _governed(func, task, args, root, partition)
+        return _governed(func, name, task)
     except ResourceExhausted:
         raise
     except (MemoryError, OSError) as error:
-        classified = classify_os_error(error, f"{task} partition {partition}")
+        classified = classify_os_error(
+            error, f"{name} partition {task.partition}"
+        )
         if classified is not None:
             raise classified from error
         raise
 
 
-def _governed(func: Callable, task: str, args, root, partition):
+def _governed(func: Callable, name: str, task: KernelTask):
     """Run one kernel under the armed budgets/metrics, if any.
 
     The fault hook fires first — before any registry or file handle is
@@ -171,28 +186,28 @@ def _governed(func: Callable, task: str, args, root, partition):
     ``(task, partition, attempt)`` and must keep firing exactly once per
     attempt regardless of how the work was sliced.
     """
-    shard = shard_of(args)
-    slot = task_slot(partition, shard)
+    root, shard = task.ctx.store_root, task.shard
+    slot = task_slot(task.partition, shard)
     if shard is None or shard.index == 0:
-        maybe_inject(root, task, partition)
+        maybe_inject(root, name, task.partition)
     budgets = load_budgets(root)
     metrics_on = Path(root, OBS_MARKER).exists()
     if budgets is None and not metrics_on:
-        return func(args)
+        return func(task)
     limit = budgets.worker_mem_budget_bytes if budgets is not None else None
     meter = activate_meter(MemoryMeter(limit))
     try:
         if not metrics_on:
-            return func(args)
+            return func(task)
         registry = activate(MetricsRegistry())
         started = time.perf_counter()
         try:
-            with span("task", task=task, worker=slot):
-                result = func(args)
+            with span("task", task=name, worker=slot):
+                result = func(task)
         finally:
             deactivate()
         wall_ms = (time.perf_counter() - started) * 1000.0
-        labels = {"task": task, "worker": slot}
+        labels = {"task": name, "worker": slot}
         registry.gauge("worker.wall_ms", wall_ms, **labels)
         registry.gauge(
             "worker.mem_high_water_bytes",
@@ -205,8 +220,8 @@ def _governed(func: Callable, task: str, args, root, partition):
         rss = rss_high_water_bytes()
         if rss is not None:
             registry.gauge("worker.rss_max_bytes", float(rss), **labels)
-        registry.count("worker.tasks", 1, task=task)
-        metrics_sidecar(root, task, slot).write_text(
+        registry.count("worker.tasks", 1, task=name)
+        metrics_sidecar(root, name, slot).write_text(
             json.dumps(registry.snapshot())
         )
         return result

@@ -59,23 +59,6 @@ FAULT_KINDS = (
     "bit-flip", "truncate-payload",
 )
 
-#: Worker task names per algorithm, in pass order — the coordinates a
-#: fault plan pins to, and the basis of "kill one worker in every pass".
-#: Kept static (this module must import without the engine) but pinned
-#: by a test against each registered pass plan's ``tasks()``.
-ALGORITHM_TASKS: Dict[str, tuple] = {
-    "nested-loops": ("nested_loops_pass0", "nested_loops_pass1"),
-    "sort-merge": (
-        "sort_merge_partition",
-        "sort_merge_runs",
-        "sort_merge_merge_join",
-    ),
-    "grace": ("grace_partition", "grace_probe"),
-    "grace-radix": ("grace_partition", "grace_probe"),
-    "grace-learned": ("grace_partition", "grace_probe"),
-    "hybrid-hash": ("hybrid_hash_partition", "grace_probe"),
-}
-
 # Torn-write victims: the one output file each task is guaranteed to
 # re-create on retry, so the garbage left at its *final* path exercises
 # the overwrite-on-retry path as well as the tmp-orphan path.  The
@@ -264,13 +247,21 @@ class FaultPlan:
     def crash_every_pass(
         cls, algorithm: str, partition: int = 0, attempt: int = 0
     ) -> "FaultPlan":
-        """Kill one worker in every pass of ``algorithm`` (acceptance plan)."""
-        if algorithm not in ALGORITHM_TASKS:
+        """Kill one worker in every pass of ``algorithm`` (acceptance plan).
+
+        The coordinates are the registered pass plan's ``tasks()``; the
+        registry is imported lazily — this module must import without
+        the engine.
+        """
+        from repro.parallel.engine.stages import plan_for
+
+        plan = plan_for(algorithm)
+        if plan is None:
             raise FaultPlanError(f"unknown algorithm {algorithm!r}")
         return cls(
             [
                 FaultSpec("crash", task, partition, attempt)
-                for task in ALGORITHM_TASKS[algorithm]
+                for task in plan.tasks()
             ]
         )
 

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import config
 from repro.governor.errors import DiskExhausted, MemoryExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.governor.predict import JoinPlan, fit_plan, predict_footprint
@@ -38,7 +37,6 @@ from repro.parallel.engine.executor import (
     execute_plan,
 )
 from repro.parallel.engine.rebalance import validate_rebalance_mode
-from repro.parallel.engine.stages import PARTITIONER_NAMES
 from repro.parallel.engine.stages import algorithms as registered_algorithms
 from repro.parallel.engine.stages import plan_for
 from repro.parallel.faults import FaultPlan, RetryPolicy
@@ -138,7 +136,6 @@ def run_real_join(
     tenant: Optional[str] = None,
     priority: int = 0,
     rebalance: str = "auto",
-    partitioner: Optional[str] = None,
     resume: bool = False,
 ) -> RealJoinResult:
     """Execute one pointer-based join on real mmap-backed files.
@@ -181,14 +178,6 @@ def run_real_join(
     of the shardable stages, ``"off"`` never shards.  Join output is
     bit-identical in every mode.
 
-    ``partitioner`` overrides the bucketed plans' partitioning strategy
-    (``"hash"``, ``"radix"``, ``"learned"``); unset falls back to the
-    ``REPRO_PARTITIONER`` environment knob and then to each plan's
-    declared strategy (``grace-radix``/``grace-learned`` are the
-    ``grace`` plan with a different declaration).  Join *pairs* are
-    identical under every strategy — only the bucket layout of the
-    spill files differs.
-
     ``reuse_store`` promises ``store_root`` already holds this exact
     workload (a warm store a previous ``keep_store=True`` run left
     behind) and skips re-materializing R/S — the join-service daemon's
@@ -223,13 +212,6 @@ def run_real_join(
             f"{resident_buckets} vs {buckets} buckets"
         )
     validate_rebalance_mode(rebalance)
-    if partitioner is None:
-        partitioner = config.env_choice("partitioner")
-    elif partitioner not in PARTITIONER_NAMES:
-        raise RealJoinError(
-            f"unknown partitioner {partitioner!r}; "
-            f"choices: {PARTITIONER_NAMES}"
-        )
     pass_plan = plan_for(algorithm)
     policy = RetryPolicy(
         retries=retries,
@@ -249,7 +231,6 @@ def run_real_join(
         tsize=tsize,
         resident_buckets=resident_buckets,
         rebalance=rebalance,
-        partitioner=partitioner,
     )
     governed = (
         mem_budget is not None or disk_budget is not None or governor is not None

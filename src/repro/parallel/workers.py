@@ -41,7 +41,7 @@ True`` on every create makes that legal).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.parallel.engine.task import (
     CHECKSUM_MOD,
     OBS_MARKER,
     RUN_SHARD_STRIDE,
+    KernelTask,
     PairResult,
     PairSink,
     StageOutput,
@@ -67,7 +68,6 @@ from repro.parallel.engine.task import (
     run_lower_bound,
     run_name,
     run_paths,
-    shard_of,
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
@@ -92,12 +92,12 @@ __all__ = [
 ]
 
 
-def _store(root: str, disks: int) -> Store:
-    return Store(root, disks)
+def _store(task: KernelTask) -> Store:
+    return Store(task.ctx.store_root, task.ctx.disks)
 
 
-def _pmap(s_objects: int, disks: int) -> PointerMap:
-    return PointerMap(s_objects=s_objects, partitions=disks)
+def _pmap(task: KernelTask) -> PointerMap:
+    return PointerMap(s_objects=task.ctx.s_objects, partitions=task.ctx.disks)
 
 
 def _phase_partner(i: int, t: int, disks: int) -> int:
@@ -117,16 +117,15 @@ def _targets_in_encounter_order(parts):
 # ------------------------------------------------------------ nested loops
 
 @register_kernel
-def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
+def nested_loops_pass0(task: KernelTask) -> PairResult:
     """Scan R_i: join local references, spill the rest to the RP_i_j.
 
-    The trailing optional arg throttles the batch size — the governor's
+    ``plan.batch_records`` throttles the batch size — the governor's
     nested-loops degradation knob.
     """
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, disks, record_bytes = task.partition, task.ctx.disks, task.ctx.r_bytes
+    store = _store(task)
+    pmap = _pmap(task)
     meter = active_meter()
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
         s_bytes = s_rel.segment.layout.record_bytes
@@ -140,7 +139,9 @@ def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
             if j != i
         }
         try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+            for rid, sptr, payload in r_rel.iter_column_batches(
+                task.plan.batch_records
+            ):
                 charged = len(rid) * record_bytes
                 meter.charge(charged, "nested-loops R batch")
                 parts, offs = pmap.locate_array(sptr)
@@ -170,21 +171,18 @@ def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
 
 
 @register_kernel
-def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
+def nested_loops_pass1(task: KernelTask) -> PairResult:
     """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
 
-    Rebalance axis ``records``: a trailing :class:`Shard` restricts the
+    Rebalance axis ``records``: the task's :class:`Shard` restricts the
     kernel to the record range ``[lo, hi)`` of the phase spill files
     concatenated in phase order — every shard walks the same file list
     with the same global indexing, so the shard union is exactly the
     unsharded scan.
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects = core[:4]
-    batch_records = core[4] if len(core) > 4 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, disks, shard = task.partition, task.ctx.disks, task.shard
+    store = _store(task)
+    pmap = _pmap(task)
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
@@ -204,7 +202,7 @@ def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
                 r_bytes = spill.segment.layout.record_bytes
                 s_bytes = s_rel.segment.layout.record_bytes
                 for rid, sptr, payload in spill.iter_column_batches(
-                    batch_records, start, stop
+                    task.plan.batch_records, start, stop
                 ):
                     charged = len(rid) * (r_bytes + s_bytes)
                     meter.charge(charged, "nested-loops spill batch")
@@ -222,12 +220,11 @@ def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
 # --------------------------------------------------------------- sort-merge
 
 @register_kernel
-def sort_merge_partition(args: Tuple[str, int, int, int, int]) -> int:
+def sort_merge_partition(task: KernelTask) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, disks, record_bytes = task.partition, task.ctx.disks, task.ctx.r_bytes
+    store = _store(task)
+    pmap = _pmap(task)
     meter = active_meter()
     with store.open_r(i) as r_rel:
         outputs = {
@@ -239,7 +236,9 @@ def sort_merge_partition(args: Tuple[str, int, int, int, int]) -> int:
         }
         moved = 0
         try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+            for rid, sptr, payload in r_rel.iter_column_batches(
+                task.plan.batch_records
+            ):
                 meter.charge(
                     len(rid) * record_bytes, "sort-merge partition batch"
                 )
@@ -299,7 +298,7 @@ class _ColumnBuffer:
 
 
 @register_kernel
-def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
+def sort_merge_runs(task: KernelTask) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     The meter's charge always equals the buffered records' bytes: each
@@ -308,13 +307,10 @@ def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
     directly lowers the high-water mark at the cost of more runs for the
     merge stage.
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, record_bytes, irun = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
+    i, shard, record_bytes = task.partition, task.shard, task.ctx.r_bytes
+    store = _store(task)
     meter = active_meter()
-    irun = max(1, irun)
+    irun = max(1, task.plan.irun)
     # Stale runs are poison: the merge stage discovers runs by glob, so
     # leftovers from a previous attempt or plan (including torn-write
     # garbage at a run's final path) must be gone before this attempt
@@ -354,7 +350,7 @@ def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
     lo = 0 if shard is None else shard.lo
     hi = None if shard is None else shard.hi
     base = 0
-    for contributor in range(disks):
+    for contributor in range(task.ctx.disks):
         path = store.path(i, rs_name(i, contributor))
         count = MappedSegment.record_count(path)
         start = max(0, lo - base)
@@ -364,7 +360,7 @@ def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
             continue
         with RRelationFile.open(path) as rel:
             for rid, sptr, payload in rel.iter_column_batches(
-                batch_records, start, stop
+                task.plan.batch_records, start, stop
             ):
                 inbound += len(rid)
                 meter.charge(len(rid) * record_bytes, "sort-run buffer")
@@ -461,23 +457,21 @@ class _RunCursor:
 
 
 @register_kernel
-def sort_merge_merge_join(args: Tuple[str, int, int, int, int]) -> PairResult:
+def sort_merge_merge_join(task: KernelTask) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
     A single run needs no merge: its batches are already in sptr order.
     Several runs merge k-way under one fixed budget (:func:`_merge_runs`).
 
-    Rebalance axis ``keys``: a trailing :class:`Shard` carries an sptr
+    Rebalance axis ``keys``: the task's :class:`Shard` carries an sptr
     key range ``[lo, hi)``.  Each shard merges *all* runs clipped to its
     range; the ranges tile the key space, so the shard union is the full
     merge (runs are sorted, so clipping preserves merge order).
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, record_bytes = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, shard, record_bytes = task.partition, task.shard, task.ctx.r_bytes
+    batch_records = task.plan.batch_records
+    store = _store(task)
+    pmap = _pmap(task)
     meter = active_meter()
     paths = run_paths(store, i)
     capacity = sum(MappedSegment.record_count(path) for path in paths)
@@ -586,121 +580,147 @@ def _merge_runs(
 
 # ------------------------------------------------------- grace / hybrid hash
 
-def _flush_bucket_chunks(
+def _scatter_buckets(
+    task: KernelTask,
     store: Store,
-    grouped: Dict[int, List[tuple]],
-    buckets: int,
-    record_bytes: int,
-    contributor: int,
-    chunk: int | None,
-    order_fn=None,
+    r_rel: RRelationFile,
+    label: str,
+    resident: int = 0,
+    sink: PairSink | None = None,
 ) -> int:
-    """Write accumulated per-target column chunks as bucketed spill files.
+    """Scan R_i, bucket every record, and spill the bucket groups.
 
-    Shared by the grace and hybrid-hash partition kernels; the files are
-    named by :func:`~repro.parallel.engine.task.bucket_spill_name`, which
-    is also how the probe kernel finds them — producers and consumers
-    agree on artifact names through that one scheme.  One stable
-    bucket-contiguous permutation (the partitioner's ``order`` — a stable
-    argsort for the hash strategy, bounded-fan-out radix passes for
-    radix/learned) groups each target's records bucket-contiguously
-    (encounter order within a bucket preserved), and the whole blob lands
-    in one :meth:`BucketedRFile.append_buckets_packed` slice write.
+    The one scan → bucket → group → flush body of both bucketed
+    partition kernels; returns the number of records spilled.  Records
+    whose bucket is below ``resident`` are dereferenced against their
+    target S partition and joined into ``sink`` during the scan instead
+    of spilled (hybrid hash; grace passes 0 and no sink).
+
+    Spilled groups are retained in memory across the scan by default —
+    the probe side, where the memory bound actually lives, stays
+    bucket-at-a-time.  Under a memory budget the governor sets
+    ``plan.spill_threshold``: whenever that many objects are retained
+    the groups are flushed to *chunked* spill files
+    (``BS<j>_from<i>_c<n>``), bounding the pass at threshold + one
+    batch.  The probe side reads base and chunk files alike, so the join
+    output is identical.
     """
-    flushed = 0
-    for target, chunks in grouped.items():
-        rid = np.concatenate([c[0] for c in chunks])
-        sptr = np.concatenate([c[1] for c in chunks])
-        payload = np.concatenate([c[2] for c in chunks])
-        bucket = np.concatenate([c[3] for c in chunks])
-        if order_fn is None:
-            order = np.argsort(bucket, kind="stable")
-        else:
-            order = order_fn(bucket)
-        counts = np.bincount(bucket.astype(np.int64), minlength=buckets)
-        spill = BucketedRFile.create(
-            store.path(target, bucket_spill_name(target, contributor, chunk)),
-            len(rid), buckets, record_bytes, overwrite=True,
-        )
-        try:
-            spill.append_buckets_packed(
-                spill.segment.layout.pack_columns(
-                    rid[order], sptr[order], payload[order]
-                ),
-                [int(c) for c in counts],
-            )
-        except BaseException:
-            spill.abort()
-            raise
-        spill.close()
-        flushed += len(rid)
-    grouped.clear()
-    return flushed
-
-
-@register_kernel
-def grace_partition(args: Tuple[str, int, int, int, int, int]) -> int:
-    """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
-
-    All of one contributor's spill for one target lands in a single
-    bucket-grouped :class:`BucketedRFile` (file creation dominates this
-    pass when every (target, bucket) pair gets its own file).  By default
-    the bucket groups are accumulated in memory over the whole scan — the
-    probe side, where grace's memory bound actually lives, stays
-    bucket-at-a-time.  Under a memory budget the governor passes a
-    ``spill_threshold``: whenever that many objects are retained the
-    groups are flushed to *chunked* spill files (``BS<j>_from<i>_c<n>``),
-    bounding the partition pass at threshold + one batch.  The probe side
-    reads base and chunk files alike, so the join output is identical.
-    """
-    root, disks, i, s_objects, record_bytes, buckets = args[:6]
-    spill_threshold = args[6] if len(args) > 6 else None
-    batch_records = args[7] if len(args) > 7 else BATCH_RECORDS
-    partitioner = args[8] if len(args) > 8 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, plan, record_bytes = task.partition, task.plan, task.ctx.r_bytes
+    buckets, threshold = plan.buckets, plan.spill_threshold
+    pmap = _pmap(task)
     meter = active_meter()
-    part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
+    part = resolve_partitioner(
+        task.ctx.store_root,
+        task.partitioner,
+        [pmap.partition_size(j) for j in range(task.ctx.disks)],
+        buckets,
+    )
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
     chunk_id = 0
+    s_rels: Dict[int, object] = {}
 
     def flush_groups(chunk: int | None) -> int:
+        """Write each target's groups as one bucketed spill file.
+
+        The files are named by :func:`~repro.parallel.engine.task.
+        bucket_spill_name`, which is also how the probe kernel finds
+        them.  The partitioner's stable bucket-contiguous ``order``
+        groups each target's records (encounter order within a bucket
+        preserved), and the whole blob lands in one
+        :meth:`BucketedRFile.append_buckets_packed` slice write.
+        """
         nonlocal retained
-        flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk, part.order
-        )
+        flushed = 0
+        for target, chunks in grouped.items():
+            rid, sptr, payload, bucket = map(np.concatenate, zip(*chunks))
+            order = part.order(bucket)
+            counts = np.bincount(bucket.astype(np.int64), minlength=buckets)
+            spill = BucketedRFile.create(
+                store.path(target, bucket_spill_name(target, i, chunk)),
+                len(rid), buckets, record_bytes, overwrite=True,
+            )
+            try:
+                spill.append_buckets_packed(
+                    spill.segment.layout.pack_columns(
+                        rid[order], sptr[order], payload[order]
+                    ),
+                    [int(c) for c in counts],
+                )
+            except BaseException:
+                spill.abort()
+                raise
+            spill.close()
+            flushed += len(rid)
+        grouped.clear()
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
-    with store.open_r(i) as r_rel:
-        for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-            meter.charge(len(rid) * record_bytes, "grace bucket groups")
-            retained += len(rid)
+    try:
+        for rid, sptr, payload in r_rel.iter_column_batches(
+            plan.batch_records
+        ):
+            meter.charge(len(rid) * record_bytes, label)
             parts, offs = pmap.locate_array(sptr)
             bucket = part.bucket_array(parts, offs, rid)
+            joined = 0
+            if resident:
+                home = bucket < resident
+                joined = int(home.sum())
+                if joined:
+                    for target in _targets_in_encounter_order(parts[home]):
+                        mask = home & (parts == target)
+                        if target not in s_rels:
+                            s_rels[target] = store.open_s(target)
+                        s_rel = s_rels[target]
+                        charged = (
+                            int(mask.sum()) * s_rel.segment.layout.record_bytes
+                        )
+                        meter.charge(charged, "resident S batch")
+                        sid, value = s_rel.dereference_columns(offs[mask])
+                        sink.emit_arrays(rid[mask], sid, payload[mask], value)
+                        meter.release(charged)
+                    out = ~home
+                    rid, sptr, payload = rid[out], sptr[out], payload[out]
+                    parts, bucket = parts[out], bucket[out]
+                meter.release(joined * record_bytes)
             for target in _targets_in_encounter_order(parts):
                 mask = parts == target
                 grouped.setdefault(target, []).append(
                     (rid[mask], sptr[mask], payload[mask], bucket[mask])
                 )
-            if spill_threshold is not None and retained >= spill_threshold:
+            retained += len(rid)
+            if threshold is not None and retained >= threshold:
                 moved += flush_groups(chunk_id)
                 chunk_id += 1
-    if spill_threshold is None:
-        moved += flush_groups(None)
-    elif grouped:
-        moved += flush_groups(chunk_id)
+        if threshold is None:
+            moved += flush_groups(None)
+        elif grouped:
+            moved += flush_groups(chunk_id)
+    finally:
+        for rel in s_rels.values():
+            rel.close()
     return moved
 
 
 @register_kernel
-def hybrid_hash_partition(
-    args: Tuple[str, int, int, int, int, int, int, int]
-) -> StageOutput:
+def grace_partition(task: KernelTask) -> int:
+    """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
+
+    All of one contributor's spill for one target lands in a single
+    bucket-grouped :class:`BucketedRFile` (file creation dominates this
+    pass when every (target, bucket) pair gets its own file); the scan
+    itself is :func:`_scatter_buckets` with no resident buckets.
+    """
+    store = _store(task)
+    with store.open_r(task.partition) as r_rel:
+        return _scatter_buckets(task, store, r_rel, "grace bucket groups")
+
+
+@register_kernel
+def hybrid_hash_partition(task: KernelTask) -> StageOutput:
     """Hybrid hash partitioning: join resident buckets on the fly.
 
     Like :func:`grace_partition`, but references hashing to the plan's
@@ -713,82 +733,24 @@ def hybrid_hash_partition(
     == 0`` this degenerates to grace partitioning — the governor's final
     memory rung.
     """
-    root, disks, i, s_objects, record_bytes, buckets, resident = args[:7]
-    spill_threshold = args[7] if len(args) > 7 else None
-    batch_records = args[8] if len(args) > 8 else BATCH_RECORDS
-    partitioner = args[9] if len(args) > 9 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
-    meter = active_meter()
-    part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
-    grouped: Dict[int, List[tuple]] = {}
-    moved = 0
-    retained = 0
-    chunk_id = 0
-    s_rels: Dict[int, object] = {}
-
-    def open_s(target: int):
-        if target not in s_rels:
-            s_rels[target] = store.open_s(target)
-        return s_rels[target]
-
-    def flush_groups(chunk: int | None) -> int:
-        nonlocal retained
-        flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk, part.order
-        )
-        meter.release(retained * record_bytes)
-        retained = 0
-        return flushed
-
+    i = task.partition
+    store = _store(task)
     with store.open_r(i) as r_rel:
         sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
         try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-                meter.charge(len(rid) * record_bytes, "hybrid bucket groups")
-                parts, offs = pmap.locate_array(sptr)
-                bucket = part.bucket_array(parts, offs, rid)
-                home = bucket < resident
-                resident_count = int(home.sum())
-                if resident_count:
-                    for target in _targets_in_encounter_order(parts[home]):
-                        mask = home & (parts == target)
-                        s_rel = open_s(target)
-                        s_bytes = s_rel.segment.layout.record_bytes
-                        charged = int(mask.sum()) * s_bytes
-                        meter.charge(charged, "resident S batch")
-                        sid, value = s_rel.dereference_columns(offs[mask])
-                        sink.emit_arrays(rid[mask], sid, payload[mask], value)
-                        meter.release(charged)
-                if resident_count < len(rid):
-                    out = ~home
-                    for target in _targets_in_encounter_order(parts[out]):
-                        mask = out & (parts == target)
-                        grouped.setdefault(target, []).append(
-                            (rid[mask], sptr[mask], payload[mask], bucket[mask])
-                        )
-                    retained += len(rid) - resident_count
-                meter.release(resident_count * record_bytes)
-                if spill_threshold is not None and retained >= spill_threshold:
-                    moved += flush_groups(chunk_id)
-                    chunk_id += 1
-            if spill_threshold is None:
-                moved += flush_groups(None)
-            elif grouped:
-                moved += flush_groups(chunk_id)
+            moved = _scatter_buckets(
+                task, store, r_rel, "hybrid bucket groups",
+                task.plan.effective_resident_buckets(), sink,
+            )
             result = sink.close()
         except BaseException:
             sink.abort()
             raise
-        finally:
-            for rel in s_rels.values():
-                rel.close()
     return StageOutput(moved, result)
 
 
 @register_kernel
-def grace_probe(args: Tuple[str, int, int, int, int, int]) -> PairResult:
+def grace_probe(task: KernelTask) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
     The paper's ``TSIZE`` chain table is one stable argsort by refining
@@ -796,23 +758,22 @@ def grace_probe(args: Tuple[str, int, int, int, int, int]) -> PairResult:
     inbound order and flatten in chain order, which is exactly the
     sorted-by-chain permutation.
 
-    Rebalance axis ``buckets``: a trailing :class:`Shard` restricts the
+    Rebalance axis ``buckets``: the task's :class:`Shard` restricts the
     probe to the contiguous bucket range ``[lo, hi)``.  Buckets are
     independent units of work, so the shard union probes exactly the
     unsharded bucket sequence.
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, buckets, tsize = core[:6]
-    batch_records = core[6] if len(core) > 6 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, shard = task.partition, task.shard
+    buckets, tsize = task.plan.buckets, task.plan.tsize
+    batch_records = task.plan.batch_records
+    store = _store(task)
+    pmap = _pmap(task)
     meter = active_meter()
     part_size = pmap.partition_size(i)
     bucket_lo = 0 if shard is None else shard.lo
     bucket_hi = buckets if shard is None else min(shard.hi, buckets)
     inbound: List[BucketedRFile] = []
-    for contributor in range(disks):
+    for contributor in range(task.ctx.disks):
         for path in bucket_spill_paths(store, i, contributor):
             inbound.append(BucketedRFile.open(path))
     capacity = sum(len(rel) for rel in inbound)

@@ -12,7 +12,7 @@ import pytest
 from repro.joins import verify_pairs
 from repro.joins.reference import expected_checksum
 from repro.obs.export import schema_problems
-from repro.parallel import REAL_ALGORITHMS, FaultPlan, run_real_join
+from repro.parallel import REAL_ALGORITHMS, FaultPlan, plan_for, run_real_join
 from repro.governor import (
     DiskExhausted,
     MemoryExhausted,
@@ -93,9 +93,7 @@ class TestBitIdenticalUnderPressure:
         geometry, where admission already spends most of the ladder: the
         runtime rung must still have somewhere to go, and the observed
         high-water mark must stay under the prediction."""
-        from repro.parallel.faults import ALGORITHM_TASKS
-
-        last_task = ALGORITHM_TASKS[algorithm][-1]
+        last_task = plan_for(algorithm).tasks()[-1]
         mem_budget = 1 << 20
         if ci_seed is not None:
             workload = generate_workload(
@@ -123,6 +121,10 @@ class TestBitIdenticalUnderPressure:
             observed = governor["observed"]["worker_mem_high_water_bytes"]
             predicted = governor["predicted"]["mem_high_water_bytes"]
             assert observed is not None and observed <= predicted
+            if algorithm == "grace-learned":
+                # The ladder's strategy→hash rung — the one writer of
+                # JoinPlan.partitioner — reached the kernels.
+                assert result.partitioner == "hash"
         assert result.governor["runtime_degradations"] >= 1
         assert result.governor["resource_errors"].get("memory", 0) >= 1
         assert result.retries_total == 0  # degraded, never retried

@@ -19,11 +19,8 @@ from repro.parallel.engine.checkpoint import (
     manifest_path,
 )
 from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.faults import (
-    ALGORITHM_TASKS,
-    FaultPlan,
-    flip_payload_bit,
-)
+from repro.parallel.engine.stages import plan_for
+from repro.parallel.faults import FaultPlan, flip_payload_bit
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -39,7 +36,7 @@ def workload():
 
 def crash_last_pass(algorithm: str) -> FaultPlan:
     """A fault plan that kills the final pass's partition-0 task forever."""
-    task = ALGORITHM_TASKS[algorithm][-1]
+    task = plan_for(algorithm).tasks()[-1]
     return FaultPlan.parse(json.dumps({
         "faults": [
             {"kind": "crash", "task": task, "partition": 0, "attempt": a}

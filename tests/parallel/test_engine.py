@@ -11,7 +11,6 @@ import pytest
 
 from repro.joins import verify_pairs
 from repro.parallel import (
-    ALGORITHM_TASKS,
     FaultPlan,
     FaultSpec,
     REAL_ALGORITHMS,
@@ -30,12 +29,7 @@ from repro.workload import WorkloadSpec, generate_workload
 
 
 def _stage(label="scan", kernel="nested_loops_pass0", emits="pairs"):
-    return ScanJoinStage(
-        label=label,
-        kernel=kernel,
-        emits=emits,
-        build_args=lambda ctx, plan, i: (ctx.store_root, ctx.disks, i),
-    )
+    return ScanJoinStage(label=label, kernel=kernel, emits=emits)
 
 
 class TestPlanRegistry:
@@ -48,13 +42,6 @@ class TestPlanRegistry:
 
     def test_unknown_algorithm_has_no_plan(self):
         assert plan_for("hash-loops") is None
-
-    def test_fault_coordinates_match_plan_tasks(self):
-        """faults.ALGORITHM_TASKS is static (that module must import
-        without the engine) — this is the consistency pin."""
-        assert set(ALGORITHM_TASKS) == set(algorithms())
-        for algorithm, tasks in ALGORITHM_TASKS.items():
-            assert tasks == plan_for(algorithm).tasks()
 
     def test_duplicate_registration_rejected(self):
         from repro.parallel.engine.stages import register_plan
@@ -84,33 +71,6 @@ class TestPlanValidation:
                 conservation=(
                     ConservationRule("pairs", (("ghost", "pairs"),)),
                 ),
-            )
-
-    def test_build_args_must_lead_with_store_coordinates(self, tmp_path):
-        """The (store_root, disks, partition) prefix is what lets the
-        engine fan any kernel out by partition; a plan that breaks it is
-        a bug caught at dispatch time, not a worker crash."""
-        workload = generate_workload(
-            WorkloadSpec(r_objects=40, s_objects=40, seed=3), disks=2
-        )
-        bad = PassPlan(
-            "bad-args",
-            (
-                ScanJoinStage(
-                    label="scan",
-                    kernel="nested_loops_pass0",
-                    emits="pairs",
-                    build_args=lambda ctx, plan, i: (ctx.disks, i),
-                ),
-            ),
-        )
-        from repro.governor.predict import JoinPlan
-        from repro.parallel.engine.executor import execute_plan
-
-        with pytest.raises(PassPlanError, match="store_root, disks, partition"):
-            execute_plan(
-                bad, workload, str(tmp_path / "db"), JoinPlan(),
-                use_processes=False,
             )
 
 

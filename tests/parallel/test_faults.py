@@ -16,8 +16,8 @@ import pytest
 from repro.joins import verify_pairs
 from repro.obs.export import schema_problems
 from repro.parallel import RealJoinError, run_real_join
+from repro.parallel.engine.stages import algorithms, plan_for
 from repro.parallel.faults import (
-    ALGORITHM_TASKS,
     FAULT_KINDS,
     FAULTS_FILE,
     FaultPlan,
@@ -29,11 +29,13 @@ from repro.workload import WorkloadSpec, generate_workload
 
 R_OBJECTS = 300
 
+ALGORITHMS = sorted(algorithms())
+
 # (algorithm, task) coordinates: every pass of every algorithm.
 ALL_TASKS = [
     (algorithm, task)
-    for algorithm, tasks in sorted(ALGORITHM_TASKS.items())
-    for task in tasks
+    for algorithm in ALGORITHMS
+    for task in plan_for(algorithm).tasks()
 ]
 
 
@@ -50,7 +52,7 @@ def baselines(workload, tmp_path_factory):
     """Fault-free reference results, one per algorithm."""
     root = tmp_path_factory.mktemp("baseline")
     results = {}
-    for algorithm in sorted(ALGORITHM_TASKS):
+    for algorithm in ALGORITHMS:
         result = run_real_join(
             algorithm, workload, str(root / algorithm), use_processes=False
         )
@@ -124,9 +126,11 @@ class TestFaultPlan:
             FaultPlan.from_json('{"faults": [{"kind": "crash"}]}')
 
     def test_crash_every_pass_covers_all_tasks(self):
-        for algorithm, tasks in ALGORITHM_TASKS.items():
+        for algorithm in ALGORITHMS:
             plan = FaultPlan.crash_every_pass(algorithm)
-            assert tuple(s.task for s in plan.faults) == tasks
+            assert tuple(s.task for s in plan.faults) == (
+                plan_for(algorithm).tasks()
+            )
         with pytest.raises(FaultPlanError, match="unknown algorithm"):
             FaultPlan.crash_every_pass("hash-loops")
 
@@ -169,7 +173,7 @@ class TestInlineRecoveryMatrix:
             assert result.timeouts_total >= 1
         assert not root.exists()
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_TASKS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_crash_in_every_pass_still_recovers(
         self, workload, baselines, algorithm, tmp_path
     ):
@@ -180,7 +184,7 @@ class TestInlineRecoveryMatrix:
             fault_plan=FaultPlan.crash_every_pass(algorithm),
         )
         assert_matches_baseline(result, baselines[algorithm], workload)
-        assert result.retries_total >= len(ALGORITHM_TASKS[algorithm])
+        assert result.retries_total >= len(plan_for(algorithm).tasks())
 
     def test_second_attempt_fault_also_recovered(self, workload, baselines, tmp_path):
         plan = FaultPlan(

@@ -8,6 +8,7 @@ np = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cli import main
 from repro.core.pointer import PointerMap
 from repro.governor.predict import JoinPlan
 from repro.joins import verify_pairs
@@ -294,16 +295,38 @@ class TestEndToEnd:
         drift = segment_drift(case, tmp_path / "db")
         assert not drift, "\n".join(drift)
 
-    def test_partitioner_flag_overrides_plan(self, workload, tmp_path):
-        result = run_real_join(
-            "grace",
-            workload,
-            str(tmp_path / "radix"),
-            use_processes=False,
-            partitioner="radix",
-        )
-        assert result.checksum == expected_checksum(workload)
-        assert result.partitioner == "radix"
+    def test_plan_name_is_the_only_selector(
+        self, workload, tmp_path, capsys
+    ):
+        """``grace-radix``/``grace-learned`` choose the strategy; there is
+        no run-time override to disagree with the plan name."""
+        with pytest.raises(TypeError):
+            run_real_join(
+                "grace",
+                workload,
+                str(tmp_path / "radix"),
+                use_processes=False,
+                partitioner="radix",
+            )
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "join", "grace", "--real", "--scale", "0.01",
+                "--partitioner", "radix",
+            ])
+        assert exit_info.value.code == 2
+        assert "--partitioner" in capsys.readouterr().err
+
+    def test_environment_does_not_select_a_strategy(
+        self, tmp_path, monkeypatch
+    ):
+        """A stray ``REPRO_PARTITIONER`` is not a selector: ``grace``
+        still scatters with the paper's hash and writes the golden
+        bytes of its default plan."""
+        monkeypatch.setenv("REPRO_PARTITIONER", "radix")
+        result = run_case("grace/default-plan", tmp_path / "db")
+        assert result.partitioner == "hash"
+        drift = segment_drift("grace/default-plan", tmp_path / "db")
+        assert not drift, "\n".join(drift)
 
     def test_state_file_swept_after_run(self, workload, tmp_path):
         # Nothing of a finished run may leak: the fitted model is a

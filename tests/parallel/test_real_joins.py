@@ -79,15 +79,19 @@ class TestInlineExecution:
     def test_workers_return_scalars_not_pairs(self, workload, tmp_path):
         """The zero-pickle protocol: a worker's return value is a
         (count, checksum, path) triple, never a list of pairs."""
+        from repro.governor.predict import JoinPlan
+        from repro.parallel.engine.stages import StageContext
+        from repro.parallel.engine.task import KernelTask
         from repro.parallel.workers import PairResult, nested_loops_pass0
         from repro.storage.store import Store
 
         root = str(tmp_path / "db")
         Store(root, workload.disks).materialize(workload)
-        result = nested_loops_pass0(
-            (root, workload.disks, 0, workload.spec.s_objects,
-             workload.spec.r_bytes)
+        ctx = StageContext(
+            root, workload.disks, workload.spec.s_objects,
+            workload.spec.r_bytes,
         )
+        result = nested_loops_pass0(KernelTask(ctx, JoinPlan(), 0))
         assert isinstance(result, PairResult)
         count, checksum, path = result
         assert isinstance(count, int)

@@ -32,7 +32,8 @@ from pathlib import Path
 import pytest
 
 from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.faults import ALGORITHM_TASKS, FaultPlan, flip_payload_bit
+from repro.parallel.engine.stages import plan_for
+from repro.parallel.faults import FaultPlan, flip_payload_bit
 from repro.parallel.runner import run_real_join
 from repro.service import (
     ClientError,
@@ -166,7 +167,7 @@ def test_failed_requests_are_forgotten_not_replayed(make_service, monkeypatch):
 # -------------------------------------------------------- daemon-side resume
 
 def crash_last_pass(algorithm: str) -> FaultPlan:
-    task = ALGORITHM_TASKS[algorithm][-1]
+    task = plan_for(algorithm).tasks()[-1]
     return FaultPlan.parse(json.dumps({
         "faults": [
             {"kind": "crash", "task": task, "partition": 0, "attempt": a}
